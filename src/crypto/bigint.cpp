@@ -392,88 +392,257 @@ BigInt mod_inverse(const BigInt& a, const BigInt& m) {
   return result;
 }
 
+namespace {
+
+/// All-ones when a == b, else zero, without a data-dependent branch.
+u64 eq_mask(u64 a, u64 b) {
+  u64 diff = a ^ b;
+  return ((diff | (0 - diff)) >> 63) - 1;
+}
+
+/// out = t - n when t >= n, else t, for t < 2n held in len + 1 limbs. Both
+/// candidates are computed and one is kept by mask, so which one it was
+/// does not show in the branch pattern. `out` must not alias `t`.
+void reduce_once(u64* out, const u64* t, const u64* n, std::size_t len) {
+  u64 borrow = 0;
+  for (std::size_t i = 0; i < len; ++i) {
+    u128 diff = static_cast<u128>(t[i]) - n[i] - borrow;
+    out[i] = static_cast<u64>(diff);
+    borrow = static_cast<u64>(diff >> 64) & 1;
+  }
+  // t >= n iff the subtraction did not borrow past the top limb.
+  const u64 keep_diff = 0 - (t[len] | (borrow ^ 1));
+  for (std::size_t i = 0; i < len; ++i) {
+    out[i] = (out[i] & keep_diff) | (t[i] & ~keep_diff);
+  }
+}
+
+/// out = table[index] for a table of 16 values of len limbs. Every entry
+/// is read, so the memory access pattern does not depend on `index`.
+void select_entry(u64* out, const u64* table, std::size_t len, u64 index) {
+  std::fill(out, out + len, 0);
+  for (u64 k = 0; k < 16; ++k) {
+    const u64 mask = eq_mask(k, index);
+    const u64* entry = table + k * len;
+    for (std::size_t i = 0; i < len; ++i) out[i] |= entry[i] & mask;
+  }
+}
+
+/// The `index`th 4-bit window of `exponent`, counting from the low end.
+u64 window_at(const BigInt& exponent, std::size_t index) {
+  return (exponent.limb(index / 16) >> (4 * (index % 16))) & 0xf;
+}
+
+}  // namespace
+
 MontgomeryContext::MontgomeryContext(const BigInt& modulus)
-    : modulus_(modulus), limbs_(modulus.limb_count()) {
+    : modulus_(modulus) {
   if (!modulus.is_odd() || modulus <= BigInt(1)) {
     throw std::invalid_argument("MontgomeryContext: modulus must be odd > 1");
   }
   // n0_inv = -modulus^{-1} mod 2^64 via Newton iteration on 64-bit words.
-  std::uint64_t m0 = modulus.limb(0);
-  std::uint64_t inv = m0;  // correct to 3 bits initially (m0 odd)
+  u64 m0 = modulus.limb(0);
+  u64 inv = m0;  // correct to 3 bits initially (m0 odd)
   for (int i = 0; i < 6; ++i) inv *= 2 - m0 * inv;
   n0_inv_ = ~inv + 1;  // -inv mod 2^64
 
-  BigInt r = BigInt(1) << (64 * limbs_);
-  r_mod_ = r % modulus_;
-  r2_mod_ = (r_mod_ * r_mod_) % modulus_;
+  BigInt r_mod = (BigInt(1) << (64 * width())) % modulus_;
+  BigInt r2_mod = (r_mod * r_mod) % modulus_;
+  one_ = r_mod.limbs_;
+  r2_ = r2_mod.limbs_;
+  one_.resize(width(), 0);
+  r2_.resize(width(), 0);
 }
 
-BigInt MontgomeryContext::mul(const BigInt& a, const BigInt& b) const {
-  // CIOS Montgomery multiplication over 64-bit limbs.
-  using u128 = unsigned __int128;
-  const std::size_t n = limbs_;
-  std::vector<std::uint64_t> t(n + 2, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint64_t a_i = a.limb(i);
-    // t += a_i * b
-    std::uint64_t carry = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      u128 cur = static_cast<u128>(a_i) * b.limb(j) + t[j] + carry;
-      t[j] = static_cast<std::uint64_t>(cur);
-      carry = static_cast<std::uint64_t>(cur >> 64);
+void MontgomeryContext::mul_limbs(u64* out, const u64* a, const u64* b,
+                                  u64* scratch) const {
+  // CIOS: interleave t += a_i * b with one limb of reduction per step.
+  const std::size_t len = width();
+  const u64* n = modulus_.limbs_.data();
+  u64* t = scratch;  // len + 2 limbs
+  std::fill(t, t + len + 1, 0);
+  for (std::size_t i = 0; i < len; ++i) {
+    const u64 a_i = a[i];
+    u64 carry = 0;
+    for (std::size_t j = 0; j < len; ++j) {
+      u128 cur = static_cast<u128>(a_i) * b[j] + t[j] + carry;
+      t[j] = static_cast<u64>(cur);
+      carry = static_cast<u64>(cur >> 64);
     }
-    u128 cur = static_cast<u128>(t[n]) + carry;
-    t[n] = static_cast<std::uint64_t>(cur);
-    t[n + 1] = static_cast<std::uint64_t>(cur >> 64);
+    u128 top = static_cast<u128>(t[len]) + carry;
+    t[len] = static_cast<u64>(top);
+    t[len + 1] = static_cast<u64>(top >> 64);
 
-    // m = t[0] * n0_inv mod 2^64;  t += m * modulus;  t >>= 64
-    std::uint64_t m_factor = t[0] * n0_inv_;
-    carry = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      u128 cur2 = static_cast<u128>(m_factor) * modulus_.limb(j) + t[j] + carry;
-      t[j] = static_cast<std::uint64_t>(cur2);
-      carry = static_cast<std::uint64_t>(cur2 >> 64);
+    // t = (t + m * n) / 2^64, with m chosen so the low limb cancels.
+    const u64 m = t[0] * n0_inv_;
+    u128 cur = static_cast<u128>(m) * n[0] + t[0];
+    carry = static_cast<u64>(cur >> 64);
+    for (std::size_t j = 1; j < len; ++j) {
+      cur = static_cast<u128>(m) * n[j] + t[j] + carry;
+      t[j - 1] = static_cast<u64>(cur);
+      carry = static_cast<u64>(cur >> 64);
     }
-    u128 cur3 = static_cast<u128>(t[n]) + carry;
-    t[n] = static_cast<std::uint64_t>(cur3);
-    t[n + 1] += static_cast<std::uint64_t>(cur3 >> 64);
-    // shift down one limb
-    for (std::size_t j = 0; j <= n; ++j) t[j] = t[j + 1];
-    t[n + 1] = 0;
+    top = static_cast<u128>(t[len]) + carry;
+    t[len - 1] = static_cast<u64>(top);
+    t[len] = t[len + 1] + static_cast<u64>(top >> 64);
   }
-  // Assemble and reduce once if needed.
-  BigInt result = BigInt::from_bytes_be({});  // zero
-  {
-    Bytes be((n + 1) * 8, 0);
-    for (std::size_t i = 0; i <= n; ++i) {
-      for (int bbyte = 0; bbyte < 8; ++bbyte) {
-        be[(n - i) * 8 + (7 - bbyte)] =
-            static_cast<std::uint8_t>((t[i] >> (8 * bbyte)) & 0xff);
-      }
+  reduce_once(out, t, n, len);
+}
+
+void MontgomeryContext::sqr_limbs(u64* out, const u64* a,
+                                  u64* scratch) const {
+  // Full square with each cross product computed once and doubled, then
+  // one reduction of the 2 * len limb result.
+  const std::size_t len = width();
+  u64* p = scratch;
+  std::fill(p, p + 2 * len, 0);
+  for (std::size_t i = 0; i < len; ++i) {
+    u64 carry = 0;
+    for (std::size_t j = i + 1; j < len; ++j) {
+      u128 cur = static_cast<u128>(a[i]) * a[j] + p[i + j] + carry;
+      p[i + j] = static_cast<u64>(cur);
+      carry = static_cast<u64>(cur >> 64);
     }
-    result = BigInt::from_bytes_be(be);
+    p[i + len] = carry;
   }
-  if (result >= modulus_) result = result - modulus_;
-  return result;
+  u64 shifted_out = 0;
+  for (std::size_t k = 0; k < 2 * len; ++k) {
+    u64 limb = p[k];
+    p[k] = (limb << 1) | shifted_out;
+    shifted_out = limb >> 63;
+  }
+  u64 carry = 0;
+  for (std::size_t i = 0; i < len; ++i) {
+    u128 cur = static_cast<u128>(a[i]) * a[i] + p[2 * i] + carry;
+    p[2 * i] = static_cast<u64>(cur);
+    cur = static_cast<u128>(p[2 * i + 1]) + static_cast<u64>(cur >> 64);
+    p[2 * i + 1] = static_cast<u64>(cur);
+    carry = static_cast<u64>(cur >> 64);
+  }
+  redc_limbs(out, p);
+}
+
+void MontgomeryContext::redc_limbs(u64* out, u64* p) const {
+  // Clear one low limb per step; `pending` is the carry owed to the limb
+  // above the one the step finishes.
+  const std::size_t len = width();
+  const u64* n = modulus_.limbs_.data();
+  u64 pending = 0;
+  for (std::size_t i = 0; i < len; ++i) {
+    const u64 m = p[i] * n0_inv_;
+    u64 carry = 0;
+    for (std::size_t j = 0; j < len; ++j) {
+      u128 cur = static_cast<u128>(m) * n[j] + p[i + j] + carry;
+      p[i + j] = static_cast<u64>(cur);
+      carry = static_cast<u64>(cur >> 64);
+    }
+    u128 cur = static_cast<u128>(p[i + len]) + carry + pending;
+    p[i + len] = static_cast<u64>(cur);
+    pending = static_cast<u64>(cur >> 64);
+  }
+  p[2 * len] = pending;
+  reduce_once(out, p + len, n, len);
+}
+
+void MontgomeryContext::load(u64* out, const BigInt& value) const {
+  std::size_t count = std::min(value.limbs_.size(), width());
+  std::copy_n(value.limbs_.begin(), count, out);
+  std::fill(out + count, out + width(), 0);
+}
+
+BigInt MontgomeryContext::from_mont_limbs(const u64* value,
+                                          u64* scratch) const {
+  // Reducing the value on its own divides out R.
+  const std::size_t len = width();
+  std::copy_n(value, len, scratch);
+  std::fill(scratch + len, scratch + 2 * len, 0);
+  BigInt out;
+  out.limbs_.resize(len);
+  redc_limbs(out.limbs_.data(), scratch);
+  out.normalize();
+  return out;
 }
 
 BigInt MontgomeryContext::to_mont(const BigInt& value) const {
-  return mul(value % modulus_, r2_mod_);
+  std::vector<u64> buf(3 * width() + 1);
+  load(buf.data(), value % modulus_);
+  BigInt out;
+  out.limbs_.resize(width());
+  mul_limbs(out.limbs_.data(), buf.data(), r2_.data(), buf.data() + width());
+  out.normalize();
+  return out;
 }
 
 BigInt MontgomeryContext::from_mont(const BigInt& value) const {
-  return mul(value, BigInt(1));
+  std::vector<u64> buf(3 * width() + 1);
+  load(buf.data(), value);
+  return from_mont_limbs(buf.data(), buf.data() + width());
 }
 
-BigInt MontgomeryContext::pow(const BigInt& base, const BigInt& exponent) const {
-  BigInt result = r_mod_;  // 1 in Montgomery form
-  BigInt acc = to_mont(base);
-  std::size_t bits = exponent.bit_length();
-  for (std::size_t i = bits; i-- > 0;) {
-    result = mul(result, result);
-    if (exponent.bit(i)) result = mul(result, acc);
+BigInt MontgomeryContext::mul(const BigInt& a, const BigInt& b) const {
+  std::vector<u64> buf(4 * width() + 1);
+  u64* b_limbs = buf.data() + width();
+  load(buf.data(), a);
+  load(b_limbs, b);
+  BigInt out;
+  out.limbs_.resize(width());
+  mul_limbs(out.limbs_.data(), buf.data(), b_limbs, b_limbs + width());
+  out.normalize();
+  return out;
+}
+
+BigInt MontgomeryContext::sqr(const BigInt& a) const {
+  std::vector<u64> buf(3 * width() + 1);
+  load(buf.data(), a);
+  BigInt out;
+  out.limbs_.resize(width());
+  sqr_limbs(out.limbs_.data(), buf.data(), buf.data() + width());
+  out.normalize();
+  return out;
+}
+
+BigInt MontgomeryContext::pow(const BigInt& base,
+                              const BigInt& exponent) const {
+  const std::size_t bits = exponent.bit_length();
+  if (bits == 0) return BigInt(1);  // the modulus is > 1
+  const std::size_t len = width();
+  // Exponents of up to 64 bits (the public e, batch screening multipliers)
+  // go bit by bit: building a window table costs more than it saves there.
+  const bool windowed = bits > 64;
+  // All scratch in one allocation: accumulator, base, kernel scratch and,
+  // for long exponents, the table of base^0 .. base^15.
+  std::vector<u64> buf((windowed ? 20 : 4) * len + 1);
+  u64* acc = buf.data();
+  u64* x = acc + len;
+  u64* scratch = x + len;
+  load(x, base % modulus_);
+  mul_limbs(x, x, r2_.data(), scratch);
+
+  if (!windowed) {
+    std::copy_n(x, len, acc);
+    for (std::size_t i = bits - 1; i-- > 0;) {
+      sqr_limbs(acc, acc, scratch);
+      if (exponent.bit(i)) mul_limbs(acc, acc, x, scratch);
+    }
+    return from_mont_limbs(acc, scratch);
   }
-  return from_mont(result);
+
+  // Fixed 4-bit window: four squarings and one table multiply per window,
+  // whatever the window's bits, with the entry read by a full-table scan.
+  u64* table = scratch + 2 * len + 1;
+  std::copy(one_.begin(), one_.end(), table);
+  std::copy_n(x, len, table + len);
+  for (std::size_t k = 2; k < 16; ++k) {
+    mul_limbs(table + k * len, table + (k - 1) * len, x, scratch);
+  }
+  const std::size_t windows = (bits + 3) / 4;
+  select_entry(acc, table, len, window_at(exponent, windows - 1));
+  for (std::size_t w = windows - 1; w-- > 0;) {
+    for (int s = 0; s < 4; ++s) sqr_limbs(acc, acc, scratch);
+    select_entry(x, table, len, window_at(exponent, w));
+    mul_limbs(acc, acc, x, scratch);
+  }
+  return from_mont_limbs(acc, scratch);
 }
 
 BigInt mod_exp(const BigInt& base, const BigInt& exponent,

@@ -80,6 +80,8 @@ class BigInt {
   friend std::strong_ordering operator<=>(const BigInt& a, const BigInt& b);
 
  private:
+  friend class MontgomeryContext;  // reads and fills limbs in place
+
   void normalize();
 
   std::vector<std::uint64_t> limbs_;
@@ -110,6 +112,9 @@ BigInt mod_exp(const BigInt& base, const BigInt& exponent,
 /// Montgomery context for repeated multiplications modulo one odd modulus.
 /// Exposed so Miller-Rabin and RSA share the machinery, and so tests can
 /// exercise it directly against the reference path.
+///
+/// Immutable after construction, so one context may be shared by any number
+/// of threads: every operation keeps its scratch in its own call frame.
 class MontgomeryContext {
  public:
   /// Throws std::invalid_argument unless modulus is odd and > 1.
@@ -121,18 +126,34 @@ class MontgomeryContext {
   BigInt to_mont(const BigInt& value) const;
   BigInt from_mont(const BigInt& value) const;
 
-  /// Montgomery product of two values already in Montgomery form.
+  /// Montgomery product (and square) of values already in Montgomery form.
   BigInt mul(const BigInt& a, const BigInt& b) const;
+  BigInt sqr(const BigInt& a) const;
 
   /// base^exponent mod modulus (inputs/outputs in ordinary form).
   BigInt pow(const BigInt& base, const BigInt& exponent) const;
 
  private:
+  std::size_t width() const { return modulus_.limb_count(); }
+
+  // Limb kernels over caller-owned buffers of width() limbs. `out` may
+  // alias an input; `scratch` holds 2 * width() + 1 limbs.
+  void mul_limbs(std::uint64_t* out, const std::uint64_t* a,
+                 const std::uint64_t* b, std::uint64_t* scratch) const;
+  void sqr_limbs(std::uint64_t* out, const std::uint64_t* a,
+                 std::uint64_t* scratch) const;
+  /// out = product * R^{-1} mod modulus, for a product < modulus * R held
+  /// in the first 2 * width() limbs of `product` (which it overwrites).
+  void redc_limbs(std::uint64_t* out, std::uint64_t* product) const;
+  /// Copies the low width() limbs of `value` into `out`.
+  void load(std::uint64_t* out, const BigInt& value) const;
+  BigInt from_mont_limbs(const std::uint64_t* value,
+                         std::uint64_t* scratch) const;
+
   BigInt modulus_;
-  std::size_t limbs_;       // width of the modulus in limbs
-  std::uint64_t n0_inv_;    // -modulus^{-1} mod 2^64
-  BigInt r_mod_;            // R mod modulus (Montgomery form of 1)
-  BigInt r2_mod_;           // R^2 mod modulus, used by to_mont
+  std::uint64_t n0_inv_;            // -modulus^{-1} mod 2^64
+  std::vector<std::uint64_t> one_;  // R mod modulus (Montgomery form of 1)
+  std::vector<std::uint64_t> r2_;   // R^2 mod modulus, used by to_mont
 };
 
 }  // namespace b2b::crypto

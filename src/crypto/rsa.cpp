@@ -2,6 +2,7 @@
 
 #include <map>
 #include <stdexcept>
+#include <string_view>
 
 #include "common/error.hpp"
 
@@ -38,10 +39,41 @@ constexpr std::uint64_t kSmallPrimes[] = {
     137, 139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199,
     211, 223, 227, 229, 233, 239, 241, 251};
 
+/// Largest modulus decode admits: bounds the division work of building
+/// a context for a key that arrives from an untrusted peer.
+constexpr std::size_t kMaxModulusBits = 8192;
+
+Bytes encode_key(const BigInt& n, const BigInt& e) {
+  Bytes n_bytes = n.to_bytes_be();
+  Bytes e_bytes = e.to_bytes_be();
+  Bytes out;
+  out.reserve(8 + n_bytes.size() + e_bytes.size());
+  auto put_u32 = [&out](std::uint32_t v) {
+    for (int i = 3; i >= 0; --i) {
+      out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
+    }
+  };
+  put_u32(static_cast<std::uint32_t>(n_bytes.size()));
+  out.insert(out.end(), n_bytes.begin(), n_bytes.end());
+  put_u32(static_cast<std::uint32_t>(e_bytes.size()));
+  out.insert(out.end(), e_bytes.begin(), e_bytes.end());
+  return out;
+}
+
 }  // namespace
 
+RsaPublicKey::RsaPublicKey() : RsaPublicKey(BigInt(), BigInt()) {}
+
 RsaPublicKey::RsaPublicKey(BigInt n, BigInt e)
-    : n_(std::move(n)), e_(std::move(e)) {}
+    : n_(std::move(n)), e_(std::move(e)), encoded_(encode_key(n_, e_)) {
+  if (n_.is_odd() && n_ > BigInt(1)) {
+    mont_ = std::make_shared<const MontgomeryContext>(n_);
+  }
+}
+
+BigInt RsaPublicKey::pow_mod_n(const BigInt& x, const BigInt& exponent) const {
+  return mont_ ? mont_->pow(x, exponent) : mod_exp(x, exponent, n_);
+}
 
 bool RsaPublicKey::verify(BytesView message, BytesView signature) const {
   return verify_digest(Sha256::hash(message), signature);
@@ -53,7 +85,7 @@ bool RsaPublicKey::verify_digest(const Digest& digest,
   if (signature.size() != modulus_bytes()) return false;
   BigInt s = BigInt::from_bytes_be(signature);
   if (s >= n_) return false;
-  BigInt m = mod_exp(s, e_, n_);
+  BigInt m = pow_mod_n(s, e_);
   Bytes em;
   try {
     em = m.to_bytes_be(modulus_bytes());
@@ -84,24 +116,7 @@ Bytes RsaPublicKey::encrypt(BytesView plaintext, ChaCha20Rng& rng) const {
   std::copy(plaintext.begin(), plaintext.end(),
             em.begin() + static_cast<std::ptrdiff_t>(3 + ps_len));
   BigInt m = BigInt::from_bytes_be(em);
-  return mod_exp(m, e_, n_).to_bytes_be(k);
-}
-
-Bytes RsaPublicKey::encode() const {
-  Bytes n_bytes = n_.to_bytes_be();
-  Bytes e_bytes = e_.to_bytes_be();
-  Bytes out;
-  out.reserve(8 + n_bytes.size() + e_bytes.size());
-  auto put_u32 = [&out](std::uint32_t v) {
-    for (int i = 3; i >= 0; --i) {
-      out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-    }
-  };
-  put_u32(static_cast<std::uint32_t>(n_bytes.size()));
-  out.insert(out.end(), n_bytes.begin(), n_bytes.end());
-  put_u32(static_cast<std::uint32_t>(e_bytes.size()));
-  out.insert(out.end(), e_bytes.begin(), e_bytes.end());
-  return out;
+  return pow_mod_n(m, e_).to_bytes_be(k);
 }
 
 RsaPublicKey RsaPublicKey::decode(BytesView data) {
@@ -123,18 +138,35 @@ RsaPublicKey RsaPublicKey::decode(BytesView data) {
   std::uint32_t e_len = get_u32();
   BigInt e = BigInt::from_bytes_be(get_blob(e_len));
   if (pos != data.size()) throw CodecError("RsaPublicKey: trailing bytes");
+  // The bytes are untrusted and the constructor does modular work on n:
+  // admit only the shape of a real key, and bound its size.
+  if (n.bit_length() > kMaxModulusBits) {
+    throw CodecError("RsaPublicKey: modulus too large");
+  }
+  if (!n.is_odd()) throw CodecError("RsaPublicKey: even modulus");
+  if (e < BigInt(3) || e >= n) {
+    throw CodecError("RsaPublicKey: exponent out of range");
+  }
   return RsaPublicKey(std::move(n), std::move(e));
 }
 
 RsaPrivateKey::RsaPrivateKey(BigInt n, BigInt e, BigInt d, BigInt p, BigInt q)
     : public_key_(std::move(n), std::move(e)),
-      d_(std::move(d)),
-      p_(std::move(p)),
-      q_(std::move(q)) {
-  BigInt one(1);
-  d_p_ = d_ % (p_ - one);
-  d_q_ = d_ % (q_ - one);
-  q_inv_ = mod_inverse(q_, p_);
+      d_p_(d % (p - BigInt(1))),
+      d_q_(d % (q - BigInt(1))),
+      q_inv_(mod_inverse(q, p)),
+      mont_p_(std::make_shared<const MontgomeryContext>(p)),
+      mont_q_(std::make_shared<const MontgomeryContext>(q)) {}
+
+BigInt RsaPrivateKey::crt_pow(const BigInt& x) const {
+  const BigInt& p = mont_p_->modulus();
+  const BigInt& q = mont_q_->modulus();
+  BigInt m1 = mont_p_->pow(x, d_p_);
+  BigInt m2 = mont_q_->pow(x, d_q_);
+  // h = q_inv * (m1 - m2) mod p (adjusting when m1 < m2)
+  BigInt diff = (m1 >= m2) ? (m1 - m2) : (p - ((m2 - m1) % p)) % p;
+  BigInt h = (q_inv_ * diff) % p;
+  return m2 + h * q;
 }
 
 Bytes RsaPrivateKey::sign(BytesView message) const {
@@ -144,14 +176,7 @@ Bytes RsaPrivateKey::sign(BytesView message) const {
 Bytes RsaPrivateKey::sign_digest(const Digest& digest) const {
   std::size_t k = public_key_.modulus_bytes();
   BigInt m = BigInt::from_bytes_be(pkcs1_encode(digest, k));
-  // CRT: s = m^d mod n computed as two half-size exponentiations.
-  BigInt m1 = mod_exp(m % p_, d_p_, p_);
-  BigInt m2 = mod_exp(m % q_, d_q_, q_);
-  // h = q_inv * (m1 - m2) mod p (adjusting when m1 < m2)
-  BigInt diff = (m1 >= m2) ? (m1 - m2) : (p_ - ((m2 - m1) % p_)) % p_;
-  BigInt h = (q_inv_ * diff) % p_;
-  BigInt s = m2 + h * q_;
-  return s.to_bytes_be(k);
+  return crt_pow(m).to_bytes_be(k);
 }
 
 std::optional<Bytes> RsaPrivateKey::decrypt(BytesView ciphertext) const {
@@ -159,12 +184,7 @@ std::optional<Bytes> RsaPrivateKey::decrypt(BytesView ciphertext) const {
   if (ciphertext.size() != k || k < 11) return std::nullopt;
   BigInt c = BigInt::from_bytes_be(ciphertext);
   if (c >= public_key_.n()) return std::nullopt;
-  // CRT, same shape as sign_digest.
-  BigInt m1 = mod_exp(c % p_, d_p_, p_);
-  BigInt m2 = mod_exp(c % q_, d_q_, q_);
-  BigInt diff = (m1 >= m2) ? (m1 - m2) : (p_ - ((m2 - m1) % p_)) % p_;
-  BigInt h = (q_inv_ * diff) % p_;
-  BigInt m = m2 + h * q_;
+  BigInt m = crt_pow(c);
   Bytes em;
   try {
     em = m.to_bytes_be(k);
@@ -189,7 +209,7 @@ std::string SignatureCache::cache_key(const RsaPublicKey& key,
   // itself length-prefixed, the digest is fixed-width, and the signature
   // length is mixed in before its bytes.
   Sha256 hasher;
-  Bytes key_bytes = key.encode();
+  const Bytes& key_bytes = key.encode();
   auto mix_len = [&hasher](std::uint64_t n) {
     Bytes len(8);
     for (int i = 0; i < 8; ++i) {
@@ -261,8 +281,9 @@ BatchVerifyResult batch_verify(const std::vector<BatchVerifyItem>& items,
   BatchVerifyResult out;
   out.ok.assign(items.size(), false);
 
-  // Pass 1: cache answers, and group the remainder by public key.
-  std::map<std::string, std::vector<std::size_t>> groups;
+  // Pass 1: cache answers, and group the remainder by public key. The
+  // group key views each key's encoding, which outlives the call.
+  std::map<std::string_view, std::vector<std::size_t>> groups;
   for (std::size_t i = 0; i < items.size(); ++i) {
     const BatchVerifyItem& item = items[i];
     if (item.key == nullptr) continue;
@@ -272,8 +293,10 @@ BatchVerifyResult batch_verify(const std::vector<BatchVerifyItem>& items,
       ++out.cache_hits;
       continue;
     }
-    Bytes key_id = item.key->encode();
-    groups[std::string(key_id.begin(), key_id.end())].push_back(i);
+    const Bytes& key_id = item.key->encode();
+    groups[std::string_view(reinterpret_cast<const char*>(key_id.data()),
+                            key_id.size())]
+        .push_back(i);
   }
 
   auto verify_one = [&](std::size_t i) {
@@ -309,10 +332,10 @@ BatchVerifyResult batch_verify(const std::vector<BatchVerifyItem>& items,
         BigInt m = BigInt::from_bytes_be(pkcs1_encode(item.digest, k));
         BigInt l(static_cast<std::uint64_t>(rng.next_u64() & 0xffffffffULL) |
                  1ULL);
-        sig_acc = (sig_acc * mod_exp(s, l, key.n())) % key.n();
-        msg_acc = (msg_acc * mod_exp(m, l, key.n())) % key.n();
+        sig_acc = (sig_acc * key.pow_mod_n(s, l)) % key.n();
+        msg_acc = (msg_acc * key.pow_mod_n(m, l)) % key.n();
       }
-      if (screened && mod_exp(sig_acc, key.e(), key.n()) == msg_acc) {
+      if (screened && key.pow_mod_n(sig_acc, key.e()) == msg_acc) {
         ++out.screened_groups;
         for (std::size_t i : indices) {
           out.ok[i] = true;
@@ -357,6 +380,9 @@ bool is_probable_prime(const BigInt& candidate, ChaCha20Rng& rng, int rounds) {
   }
 
   MontgomeryContext mont(candidate);
+  // The squaring loop runs in Montgomery form; to_mont is a bijection, so
+  // comparing against the Montgomery form of n - 1 is the same test.
+  const BigInt minus_one_m = mont.to_mont(n_minus_1);
   std::size_t cand_bytes = (candidate.bit_length() + 7) / 8;
   for (int round = 0; round < rounds; ++round) {
     // Random base in [2, candidate - 2].
@@ -368,9 +394,10 @@ bool is_probable_prime(const BigInt& candidate, ChaCha20Rng& rng, int rounds) {
     BigInt x = mont.pow(a, d);
     if (x == BigInt(1) || x == n_minus_1) continue;
     bool witness = true;
+    x = mont.to_mont(x);
     for (std::size_t i = 0; i + 1 < r; ++i) {
-      x = (x * x) % candidate;
-      if (x == n_minus_1) {
+      x = mont.sqr(x);
+      if (x == minus_one_m) {
         witness = false;
         break;
       }

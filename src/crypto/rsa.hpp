@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -25,10 +26,14 @@
 
 namespace b2b::crypto {
 
+class SignatureCache;
+struct BatchVerifyItem;
+struct BatchVerifyResult;
+
 /// Public half of an RSA keypair: (n, e). Serializable for distribution.
 class RsaPublicKey {
  public:
-  RsaPublicKey() = default;
+  RsaPublicKey();
   RsaPublicKey(BigInt n, BigInt e);
 
   const BigInt& n() const { return n_; }
@@ -50,14 +55,30 @@ class RsaPublicKey {
   /// `plaintext` exceeds modulus_bytes() - 11.
   Bytes encrypt(BytesView plaintext, ChaCha20Rng& rng) const;
 
-  Bytes encode() const;
-  static RsaPublicKey decode(BytesView data);  // throws CodecError
+  /// Length-prefixed (n, e); computed once, at construction.
+  const Bytes& encode() const { return encoded_; }
+  /// Throws CodecError on malformed bytes, and on a key no real signer
+  /// has: an even modulus, one over 8192 bits, or e outside [3, n).
+  static RsaPublicKey decode(BytesView data);
 
-  friend bool operator==(const RsaPublicKey&, const RsaPublicKey&) = default;
+  friend bool operator==(const RsaPublicKey& a, const RsaPublicKey& b) {
+    return a.n_ == b.n_ && a.e_ == b.e_;
+  }
 
  private:
+  friend BatchVerifyResult batch_verify(
+      const std::vector<BatchVerifyItem>& items, ChaCha20Rng& rng,
+      SignatureCache* cache);
+
+  /// x^exponent mod n, through the cached context.
+  BigInt pow_mod_n(const BigInt& x, const BigInt& exponent) const;
+
   BigInt n_;
   BigInt e_;
+  // Derived from (n, e) once. The context is immutable, so copies share it
+  // and any thread may use it; it is null unless n is odd and > 1.
+  Bytes encoded_;
+  std::shared_ptr<const MontgomeryContext> mont_;
 };
 
 /// Full keypair. The private exponent never leaves this object.
@@ -80,10 +101,14 @@ class RsaPrivateKey {
   std::optional<Bytes> decrypt(BytesView ciphertext) const;
 
  private:
+  /// x^d mod n as two half-size exponentiations (CRT).
+  BigInt crt_pow(const BigInt& x) const;
+
   RsaPublicKey public_key_;
-  BigInt d_;
-  // CRT components for ~4x faster signing.
-  BigInt p_, q_, d_p_, d_q_, q_inv_;
+  // CRT components for ~4x faster signing. The p and q contexts are built
+  // once and are immutable, so copies and threads share them.
+  BigInt d_p_, d_q_, q_inv_;
+  std::shared_ptr<const MontgomeryContext> mont_p_, mont_q_;
 };
 
 /// Bounded, thread-safe cache of signatures that have already verified.

@@ -3,10 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <stdexcept>
+#include <vector>
 
 #include "common/error.hpp"
 #include "crypto/chacha20.hpp"
+#include "tests/support/reference_mod_exp.hpp"
 
 namespace b2b::crypto {
 namespace {
@@ -230,6 +234,112 @@ TEST(MontgomeryContextTest, MulMatchesPlainModularProduct) {
   BigInt got = ctx.from_mont(ctx.mul(ctx.to_mont(a), ctx.to_mont(b)));
   EXPECT_EQ(got, (a * b) % m);
 }
+
+// --- Differential battery: mod_exp and MontgomeryContext against the
+// --- test-only reference (the pre-rewrite implementation), over random
+// --- moduli of 1, 8, 16 and 32 limbs. CI sweeps it via B2B_BIGINT_SEED.
+
+std::uint64_t bigint_seed() {
+  const char* seed = std::getenv("B2B_BIGINT_SEED");
+  return seed != nullptr ? std::strtoull(seed, nullptr, 10) : 1;
+}
+
+BigInt random_bits(ChaCha20Rng& rng, std::size_t bits) {
+  if (bits == 0) return {};
+  Bytes raw = rng.bytes((bits + 7) / 8);
+  std::size_t excess = raw.size() * 8 - bits;
+  raw[0] = static_cast<std::uint8_t>((raw[0] & (0xff >> excess)) |
+                                     (0x80 >> excess));
+  return BigInt::from_bytes_be(raw);
+}
+
+BigInt all_ones(std::size_t bits) { return (BigInt(1) << bits) - BigInt(1); }
+
+class BigIntDifferentialTest : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  /// Odd moduli of exactly GetParam() limbs: random ones, one whose top
+  /// limb is all ones (the final subtraction fires often), one whose top
+  /// limb is small (R is far above n).
+  std::vector<BigInt> moduli(ChaCha20Rng& rng) const {
+    const std::size_t limbs = GetParam();
+    std::vector<BigInt> out;
+    for (int i = 0; i < 3; ++i) out.push_back(random_bits(rng, 64 * limbs));
+    BigInt low = random_bits(rng, 64 * limbs) >> 64;
+    out.push_back((all_ones(64) << (64 * (limbs - 1))) + low);
+    out.push_back((BigInt(1 + rng.next_below(255)) << (64 * (limbs - 1))) +
+                  low);
+    for (BigInt& m : out) {
+      if (!m.is_odd()) m = m + BigInt(1);
+      if (m <= BigInt(1)) m = BigInt(3);
+    }
+    return out;
+  }
+};
+
+TEST_P(BigIntDifferentialTest, ModExpAndPowMatchReference) {
+  ChaCha20Rng rng(bigint_seed() * 1000 + GetParam());
+  for (const BigInt& m : moduli(rng)) {
+    const std::size_t bits = m.bit_length();
+    MontgomeryContext ctx(m);
+    std::vector<BigInt> bases = {BigInt(), m - BigInt(1), m,
+                                 m + random_bits(rng, bits),
+                                 random_bits(rng, bits + 70),
+                                 random_bits(rng, bits) % m};
+    // 63/64/65 bits straddle the cut between the short-exponent path and
+    // the fixed window; the long exponents are capped to keep the
+    // reference (bit-at-a-time, byte round trip per multiply) quick.
+    const std::size_t long_bits = std::min<std::size_t>(bits, 512);
+    std::vector<BigInt> exponents = {
+        BigInt(), BigInt(1), BigInt(65537), all_ones(63), all_ones(64),
+        all_ones(65), all_ones(long_bits), random_bits(rng, 63),
+        random_bits(rng, 64), random_bits(rng, 65),
+        random_bits(rng, long_bits)};
+    for (const BigInt& base : bases) {
+      for (const BigInt& exponent : exponents) {
+        BigInt want = test::reference_mod_exp(base, exponent, m);
+        EXPECT_EQ(mod_exp(base, exponent, m), want)
+            << "m=" << m.to_hex() << " base=" << base.to_hex()
+            << " exp=" << exponent.to_hex();
+        EXPECT_EQ(ctx.pow(base, exponent), want)
+            << "m=" << m.to_hex() << " base=" << base.to_hex()
+            << " exp=" << exponent.to_hex();
+      }
+    }
+    // The even-modulus path stays the plain one.
+    BigInt even = m + BigInt(1);
+    BigInt base = random_bits(rng, bits);
+    BigInt exponent = random_bits(rng, 70);
+    EXPECT_EQ(mod_exp(base, exponent, even),
+              test::reference_mod_exp(base, exponent, even));
+  }
+}
+
+TEST_P(BigIntDifferentialTest, MulAndSqrMatchReference) {
+  ChaCha20Rng rng(bigint_seed() * 1000 + 500 + GetParam());
+  for (const BigInt& m : moduli(rng)) {
+    MontgomeryContext ctx(m);
+    test::ReferenceMontgomery ref(m);
+    std::vector<BigInt> values = {BigInt(), BigInt(1), m - BigInt(1),
+                                  m - BigInt(2), all_ones(64) % m};
+    for (int i = 0; i < 8; ++i) {
+      values.push_back(random_bits(rng, 64 * GetParam()) % m);
+    }
+    for (const BigInt& a : values) {
+      EXPECT_EQ(ctx.to_mont(a), ref.to_mont(a)) << "a=" << a.to_hex();
+      EXPECT_EQ(ctx.from_mont(a), ref.from_mont(a)) << "a=" << a.to_hex();
+      EXPECT_EQ(ctx.sqr(a), ref.mul(a, a))
+          << "m=" << m.to_hex() << " a=" << a.to_hex();
+      for (const BigInt& b : values) {
+        EXPECT_EQ(ctx.mul(a, b), ref.mul(a, b))
+            << "m=" << m.to_hex() << " a=" << a.to_hex()
+            << " b=" << b.to_hex();
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Limbs, BigIntDifferentialTest,
+                         ::testing::Values(1, 8, 16, 32));
 
 TEST(NumberTheoryTest, GcdKnownValues) {
   EXPECT_EQ(gcd(BigInt(48), BigInt(18)), BigInt(6));

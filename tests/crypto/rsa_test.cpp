@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "tests/support/test_keys.hpp"
@@ -107,6 +111,19 @@ TEST(RsaTest, PublicKeyEncodeDecodeRoundTrip) {
   EXPECT_TRUE(decoded.verify(message, test::shared_test_key(0).sign(message)));
 }
 
+/// The public-key wire form, framed by hand so a test can encode keys the
+/// constructor would never be asked to build.
+Bytes frame_key(const Bytes& n, const Bytes& e) {
+  Bytes out;
+  for (const Bytes* field : {&n, &e}) {
+    for (int i = 3; i >= 0; --i) {
+      out.push_back(static_cast<std::uint8_t>(field->size() >> (8 * i)));
+    }
+    out.insert(out.end(), field->begin(), field->end());
+  }
+  return out;
+}
+
 TEST(RsaTest, PublicKeyDecodeRejectsGarbage) {
   EXPECT_THROW(RsaPublicKey::decode(Bytes{1, 2, 3}), CodecError);
   Bytes encoded = test::shared_test_key(0).public_key().encode();
@@ -115,6 +132,32 @@ TEST(RsaTest, PublicKeyDecodeRejectsGarbage) {
   encoded.pop_back();
   encoded.pop_back();  // truncation
   EXPECT_THROW(RsaPublicKey::decode(encoded), CodecError);
+
+  const RsaPublicKey& pub = test::shared_test_key(0).public_key();
+  const Bytes n = pub.n().to_bytes_be();
+  const Bytes e = pub.e().to_bytes_be();
+  ASSERT_NO_THROW(RsaPublicKey::decode(frame_key(n, e)));
+
+  // An even modulus.
+  Bytes even_n = n;
+  even_n.back() &= 0xfe;
+  EXPECT_THROW(RsaPublicKey::decode(frame_key(even_n, e)), CodecError);
+
+  // A modulus over 8192 bits: 8193 bits, and a hostile 4 MiB odd one that
+  // must be refused before any division work on it.
+  Bytes n_8193(1025, 0xff);
+  n_8193.front() = 0x01;
+  EXPECT_THROW(RsaPublicKey::decode(frame_key(n_8193, e)), CodecError);
+  Bytes huge_n(4 << 20, 0xa5);
+  EXPECT_THROW(RsaPublicKey::decode(frame_key(huge_n, e)), CodecError);
+
+  // e < 3, and e >= n.
+  EXPECT_THROW(RsaPublicKey::decode(frame_key(n, Bytes{0x02})), CodecError);
+  EXPECT_THROW(RsaPublicKey::decode(frame_key(n, Bytes{})), CodecError);
+  EXPECT_THROW(RsaPublicKey::decode(frame_key(n, n)), CodecError);
+  Bytes above_n = n;
+  above_n.insert(above_n.begin(), 0x01);
+  EXPECT_THROW(RsaPublicKey::decode(frame_key(n, above_n)), CodecError);
 }
 
 TEST(RsaTest, EncryptDecryptRoundTrip) {
@@ -369,6 +412,35 @@ TEST(BatchVerifyTest, PopulatesAndConsultsCache) {
   EXPECT_TRUE(second.all_ok);
   EXPECT_EQ(second.cache_hits, 6u);
   EXPECT_EQ(second.screened_groups, 0u);
+}
+
+TEST(RsaTest, ConcurrentSigningWithOneSharedKey) {
+  // One key (and so one set of cached Montgomery contexts) signs from four
+  // threads at once; every signature must verify and equal the one a lone
+  // signer produces (PKCS#1 v1.5 signing is deterministic).
+  const RsaPrivateKey& key = test::shared_test_key(0);
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 25;
+  std::vector<std::vector<Bytes>> signatures(kThreads);
+  std::vector<std::thread> signers;
+  for (int t = 0; t < kThreads; ++t) {
+    signers.emplace_back([&key, &signatures, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        signatures[t].push_back(
+            key.sign(bytes_of("concurrent " + std::to_string(t * 1000 + i))));
+      }
+    });
+  }
+  for (std::thread& signer : signers) signer.join();
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(signatures[t].size(), static_cast<std::size_t>(kPerThread));
+    for (int i = 0; i < kPerThread; ++i) {
+      Bytes message = bytes_of("concurrent " + std::to_string(t * 1000 + i));
+      EXPECT_TRUE(key.public_key().verify(message, signatures[t][i]))
+          << "thread " << t << " message " << i;
+      EXPECT_EQ(signatures[t][i], key.sign(message));
+    }
+  }
 }
 
 TEST(RsaTest, KeypairGenerationRejectsTinyKeys) {
