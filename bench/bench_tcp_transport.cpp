@@ -2,16 +2,17 @@
 //
 // Table 1: raw transport round-trip latency. A two-party ping-pong
 // (handler of b echoes back to a) over the in-process threaded fabric
-// and over TcpTransport on localhost, same ack/retransmit/dedup stack on
-// both. The gap is the price of the kernel boundary: syscalls, TCP
-// framing, loopback scheduling.
+// and over ReactorTransport on localhost, same ack/retransmit/dedup
+// stack on both. The gap is the price of the kernel boundary: syscalls,
+// TCP framing, loopback scheduling, the epoll loop and the executor-pool
+// hop.
 //
 // Table 2: protocol-level agreed-overwrite latency. The identical
 // workload (agreed 1 KiB overwrites, N=3) on all three runtimes. The
 // simulator row reports wall time of the discrete-event run (virtual
-// latency is free); threaded and tcp rows are honest end-to-end numbers
-// including RSA signing, which dominates — so the transport gap largely
-// disappears at the protocol level.
+// latency is free); threaded and reactor rows are honest end-to-end
+// numbers including RSA signing, which dominates — so the transport gap
+// largely disappears at the protocol level.
 #include <atomic>
 #include <algorithm>
 #include <cstdio>
@@ -19,7 +20,7 @@
 
 #include "bench/support/bench_util.hpp"
 #include "net/intruder_proxy.hpp"
-#include "net/tcp_runtime.hpp"
+#include "net/reactor_runtime.hpp"
 #include "net/threaded_runtime.hpp"
 #include "net/wire_auth.hpp"
 
@@ -77,7 +78,7 @@ LatencyStats ping_pong(net::Transport& a, net::Transport& b,
 }
 
 void print_row(const char* runtime, int rounds, const LatencyStats& stats) {
-  std::printf("  %-12s | %6d | %8.1f | %8.1f | %8.1f\n", runtime, rounds,
+  std::printf("  %-17s | %6d | %8.1f | %8.1f | %8.1f\n", runtime, rounds,
               stats.mean_us, stats.p50_us, stats.p99_us);
 }
 
@@ -104,14 +105,13 @@ const char* runtime_name(core::RuntimeKind kind) {
   switch (kind) {
     case core::RuntimeKind::kSim: return "sim";
     case core::RuntimeKind::kThreaded: return "threaded";
-    case core::RuntimeKind::kTcp: return "tcp";
     case core::RuntimeKind::kReactor: return "reactor";
   }
   return "?";
 }
 
 /// The loop-level counters are defined across every Transport but only a
-/// reactor-backed one moves them; printing them here documents the zero.
+/// reactor-backed one moves them.
 void print_loop_stats(const char* runtime, const net::Transport::Stats& s) {
   std::printf(
       "  %-8s | epoll_wakeups=%llu timers_fired=%llu "
@@ -128,7 +128,7 @@ void print_loop_stats(const char* runtime, const net::Transport::Stats& s) {
 void print_adversarial_stats(const char* runtime,
                              const net::Transport::Stats& s) {
   std::printf(
-      "  %-12s | frames_rejected_auth=%llu replays_suppressed=%llu "
+      "  %-17s | frames_rejected_auth=%llu replays_suppressed=%llu "
       "duplicates_suppressed=%llu\n",
       runtime, static_cast<unsigned long long>(s.frames_rejected_auth),
       static_cast<unsigned long long>(s.replays_suppressed),
@@ -156,6 +156,34 @@ net::WireAuth bench_auth(const std::string& self) {
   return auth;
 }
 
+/// Two ReactorTransports, "a" and "b", on one epoll loop and executor
+/// pool, registered in `directory` (optionally with wire v3 auth).
+/// Members destroy in reverse order: transports before pool and loop.
+struct ReactorPair {
+  net::Reactor reactor;
+  std::shared_ptr<net::TaskPool> pool = std::make_shared<net::TaskPool>(4);
+  std::unique_ptr<net::ReactorTransport> a;
+  std::unique_ptr<net::ReactorTransport> b;
+
+  ReactorPair(const std::shared_ptr<net::PeerDirectory>& directory,
+              bool auth) {
+    a = make(directory, "a", auth);
+    b = make(directory, "b", auth);
+  }
+
+  std::unique_ptr<net::ReactorTransport> make(
+      const std::shared_ptr<net::PeerDirectory>& directory,
+      const std::string& name, bool auth) {
+    net::ReactorTransport::Config config;
+    if (auth) config.auth = bench_auth(name);
+    auto t = std::make_unique<net::ReactorTransport>(
+        PartyId{name}, "127.0.0.1", std::uint16_t{0}, directory, config,
+        reactor, pool);
+    directory->set(PartyId{name}, net::PeerAddress{"127.0.0.1", t->port()});
+    return t;
+  }
+};
+
 }  // namespace
 
 int main() {
@@ -165,7 +193,7 @@ int main() {
   bench::print_header(
       "E18a: transport round-trip latency "
       "(1 KiB ping-pong, ack/dedup stack on both)",
-      "  runtime      | rounds |  mean us |  p50 us  |  p99 us");
+      "  runtime           | rounds |  mean us |  p50 us  |  p99 us");
 
   {
     net::ThreadedRuntime::Options options;
@@ -178,75 +206,47 @@ int main() {
   }
   {
     auto directory = std::make_shared<net::PeerDirectory>();
-    net::TcpTransport a(PartyId{"a"}, "127.0.0.1", 0, directory, {});
-    net::TcpTransport b(PartyId{"b"}, "127.0.0.1", 0, directory, {});
-    directory->set(PartyId{"a"}, net::PeerAddress{"127.0.0.1", a.port()});
-    directory->set(PartyId{"b"}, net::PeerAddress{"127.0.0.1", b.port()});
-    print_row("tcp", kRounds,
-              ping_pong(a, b, PartyId{"a"}, PartyId{"b"}, kRounds, kPayload));
-    print_loop_stats("tcp", a.stats());
-    print_adversarial_stats("tcp", a.stats());
+    ReactorPair pair(directory, /*auth=*/false);
+    print_row("reactor", kRounds,
+              ping_pong(*pair.a, *pair.b, PartyId{"a"}, PartyId{"b"}, kRounds,
+                        kPayload));
+    print_loop_stats("reactor", pair.a->stats());
+    print_adversarial_stats("reactor", pair.a->stats());
   }
   {
     // E22 overhead row: the same ping-pong with wire v3 session
     // authentication on — per-connection HMAC keys negotiated at the
     // hello, every data/ack frame MAC'd and verified. The delta against
-    // the "tcp" row is the per-frame price of the authenticated wire
+    // the "reactor" row is the per-frame price of the authenticated wire
     // (two HMAC-SHA256 passes per hop; the RSA handshake happened once,
     // outside the measurement).
     auto directory = std::make_shared<net::PeerDirectory>();
-    net::TcpTransport::Config a_config, b_config;
-    a_config.auth = bench_auth("a");
-    b_config.auth = bench_auth("b");
-    net::TcpTransport a(PartyId{"a"}, "127.0.0.1", 0, directory, a_config);
-    net::TcpTransport b(PartyId{"b"}, "127.0.0.1", 0, directory, b_config);
-    directory->set(PartyId{"a"}, net::PeerAddress{"127.0.0.1", a.port()});
-    directory->set(PartyId{"b"}, net::PeerAddress{"127.0.0.1", b.port()});
-    print_row("tcp+auth", kRounds,
-              ping_pong(a, b, PartyId{"a"}, PartyId{"b"}, kRounds, kPayload));
-    print_adversarial_stats("tcp+auth", a.stats());
+    ReactorPair pair(directory, /*auth=*/true);
+    print_row("reactor+auth", kRounds,
+              ping_pong(*pair.a, *pair.b, PartyId{"a"}, PartyId{"b"}, kRounds,
+                        kPayload));
+    print_adversarial_stats("reactor+auth", pair.a->stats());
   }
-  {
-    // E21 overhead row: the same ping-pong with every byte relayed
-    // through a PASSIVE IntruderProxy (the §11 MITM in pure-relay mode,
-    // both parties interposed). The delta against the "tcp" row is the
-    // campaign harness tax, not an attack cost.
+  // E21/E22 overhead rows: the same ping-pong with every byte relayed
+  // through a PASSIVE IntruderProxy (the §11 MITM in pure-relay mode,
+  // both parties interposed), without and with the authenticated wire.
+  // The delta against the "reactor" row is the campaign harness tax, not
+  // an attack cost. The relay cannot tell a MAC'd frame from a plain one
+  // (it only re-frames), so the delta between the two relayed rows
+  // isolates the MAC cost under relay conditions.
+  for (bool auth : {false, true}) {
+    const char* label = auth ? "reactor+auth+mitm" : "reactor+mitm";
     auto directory = std::make_shared<net::PeerDirectory>();
     net::IntruderProxy::Config pconfig;
     pconfig.active = false;
     net::IntruderProxy proxy(directory, pconfig);
-    net::TcpTransport a(PartyId{"a"}, "127.0.0.1", 0, directory, {});
-    net::TcpTransport b(PartyId{"b"}, "127.0.0.1", 0, directory, {});
-    directory->set(PartyId{"a"}, net::PeerAddress{"127.0.0.1", a.port()});
-    directory->set(PartyId{"b"}, net::PeerAddress{"127.0.0.1", b.port()});
+    ReactorPair pair(directory, auth);
     proxy.interpose(PartyId{"a"});
     proxy.interpose(PartyId{"b"});
-    print_row("tcp+mitm", kRounds,
-              ping_pong(a, b, PartyId{"a"}, PartyId{"b"}, kRounds, kPayload));
-    print_adversarial_stats("tcp+mitm", a.stats());
-    proxy.shutdown();
-  }
-  {
-    // E22: the authenticated wire THROUGH the passive MITM — the full
-    // campaign harness with the defence on. The relay cannot tell a
-    // MAC'd frame from a plain one (it only re-frames), so the delta
-    // against "tcp+mitm" isolates the MAC cost under relay conditions.
-    auto directory = std::make_shared<net::PeerDirectory>();
-    net::IntruderProxy::Config pconfig;
-    pconfig.active = false;
-    net::IntruderProxy proxy(directory, pconfig);
-    net::TcpTransport::Config a_config, b_config;
-    a_config.auth = bench_auth("a");
-    b_config.auth = bench_auth("b");
-    net::TcpTransport a(PartyId{"a"}, "127.0.0.1", 0, directory, a_config);
-    net::TcpTransport b(PartyId{"b"}, "127.0.0.1", 0, directory, b_config);
-    directory->set(PartyId{"a"}, net::PeerAddress{"127.0.0.1", a.port()});
-    directory->set(PartyId{"b"}, net::PeerAddress{"127.0.0.1", b.port()});
-    proxy.interpose(PartyId{"a"});
-    proxy.interpose(PartyId{"b"});
-    print_row("tcp+auth+mitm", kRounds,
-              ping_pong(a, b, PartyId{"a"}, PartyId{"b"}, kRounds, kPayload));
-    print_adversarial_stats("tcp+auth+mitm", a.stats());
+    print_row(label, kRounds,
+              ping_pong(*pair.a, *pair.b, PartyId{"a"}, PartyId{"b"}, kRounds,
+                        kPayload));
+    print_adversarial_stats(label, pair.a->stats());
     proxy.shutdown();
   }
 
@@ -255,18 +255,18 @@ int main() {
       "  runtime      |  wall ms | ms/run");
   for (core::RuntimeKind kind :
        {core::RuntimeKind::kSim, core::RuntimeKind::kThreaded,
-        core::RuntimeKind::kTcp}) {
+        core::RuntimeKind::kReactor}) {
     const double ms = agreed_overwrites_ms(kind, 20);
     std::printf("  %-12s | %8.2f | %6.2f\n", runtime_name(kind), ms,
                 ms / 20.0);
   }
   {
-    // E22: the same protocol workload on a session-authenticated tcp
+    // E22: the same protocol workload on a session-authenticated reactor
     // federation. RSA signing dominates the run; the MAC tax is expected
     // to vanish at this level.
-    const double ms = agreed_overwrites_ms(core::RuntimeKind::kTcp, 20,
+    const double ms = agreed_overwrites_ms(core::RuntimeKind::kReactor, 20,
                                            /*wire_auth=*/true);
-    std::printf("  %-12s | %8.2f | %6.2f\n", "tcp+auth", ms, ms / 20.0);
+    std::printf("  %-12s | %8.2f | %6.2f\n", "reactor+auth", ms, ms / 20.0);
   }
   return 0;
 }

@@ -1,13 +1,14 @@
 // b2bnode: one organisation's coordinator as its own OS process.
 //
 // Where the other examples assemble a whole federation inside one process,
-// this daemon runs exactly ONE party over the TCP runtime and finds its
-// peers through a PeerDirectory file, so a federation can span real
-// processes and hosts. Two cooperating b2bnode processes play the paper's
-// §5.1 Tic-Tac-Toe game to completion; each prints a canonical FINAL line
-// and exits 0 only if its own evidence chain verifies and the agreed game
-// reached the expected terminal state, so a driver script can assert
-// cross-process agreement from exit codes and output alone.
+// this daemon runs exactly ONE party over the reactor (epoll) socket stack
+// and finds its peers through a PeerDirectory file, so a federation can
+// span real processes and hosts. Two cooperating b2bnode processes play
+// the paper's §5.1 Tic-Tac-Toe game to completion; each prints a
+// canonical FINAL line and exits 0 only if its own evidence chain
+// verifies and the agreed game reached the expected terminal state, so a
+// driver script can assert cross-process agreement from exit codes and
+// output alone.
 //
 // Address bootstrap: each node binds an ephemeral port and publishes it as
 // <port-dir>/<party>.port; peers listed with port 0 are resolved by
@@ -44,7 +45,6 @@
 #include "b2b/coordinator.hpp"
 #include "b2b/federation.hpp"
 #include "net/reactor_runtime.hpp"
-#include "net/tcp_runtime.hpp"
 
 using namespace b2b;
 using apps::Board;
@@ -67,7 +67,6 @@ struct Args {
   std::size_t rsa_bits = 512;
   std::uint64_t seed = 1;
   int crash_after = 0;  // 0 = never crash
-  std::string transport = "tcp";  // "tcp" | "reactor"
   bool auth = false;  // wire v3 session authentication
   bool deal = false;  // §12 deal demo instead of the game
 };
@@ -76,7 +75,7 @@ int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " --party NAME --peers FILE --port-dir DIR"
                " [--journal DIR] [--rsa-bits N] [--seed N]"
-               " [--crash-after K] [--transport tcp|reactor] [--auth]"
+               " [--crash-after K] [--auth]"
                " [--deal]\n";
   return 1;
 }
@@ -108,15 +107,12 @@ bool parse_args(int argc, char** argv, Args& args) {
       args.seed = std::stoull(value);
     } else if (flag == "--crash-after") {
       args.crash_after = std::stoi(value);
-    } else if (flag == "--transport") {
-      args.transport = value;
     } else {
       return false;
     }
   }
   return !args.party.empty() && !args.peers_file.empty() &&
-         !args.port_dir.empty() &&
-         (args.transport == "tcp" || args.transport == "reactor");
+         !args.port_dir.empty();
 }
 
 /// Spin until `predicate` holds; false on budget exhaustion.
@@ -153,7 +149,7 @@ std::uint16_t poll_port(const fs::path& dir, const std::string& party) {
 /// Keeps the peer's directory entry in sync with its port file. A node
 /// that crashes and restarts comes back on a NEW ephemeral port; its
 /// outbound handshake reaches us only once it has traffic to send, so a
-/// waiting proposer must also refresh its dial target (TcpTransport
+/// waiting proposer must also refresh its dial target (ReactorTransport
 /// re-reads the directory on every dial attempt).
 struct DirectoryRefresher {
   std::shared_ptr<net::PeerDirectory> directory;
@@ -266,7 +262,7 @@ int run_deal_demo(const Args& args, core::Coordinator& coordinator,
       directory, fs::path(args.port_dir) / (peer.str() + ".port"), peer,
       peer_host);
   std::cout << "[" << args.party << "] listening on " << listen_port << " ("
-            << args.transport << (args.auth ? "+auth" : "")
+            << "reactor" << (args.auth ? "+auth" : "")
             << ", deal demo), peer " << peer.str() << " on " << peer_port
             << std::endl;
 
@@ -432,35 +428,16 @@ int main(int argc, char** argv) {
     };
   }
 
-  // Bind an ephemeral port, publish it, and resolve the peer's. Either
-  // stack speaks the same wire protocol, so the two processes of one
-  // federation may even mix --transport values.
-  std::unique_ptr<net::TcpTransport> tcp_transport;
-  std::unique_ptr<net::Reactor> reactor;
-  std::shared_ptr<net::TaskPool> lane_pool;
-  std::unique_ptr<net::ReactorTransport> reactor_transport;
-  net::Transport* transport = nullptr;
-  std::uint16_t listen_port = 0;
-  if (args.transport == "reactor") {
-    reactor = std::make_unique<net::Reactor>();
-    lane_pool = std::make_shared<net::TaskPool>(4);
-    net::ReactorTransport::Config reactor_config;
-    reactor_config.retransmit_interval_micros = 20'000;
-    reactor_config.auth = wire_auth;
-    reactor_transport = std::make_unique<net::ReactorTransport>(
-        self, "127.0.0.1", std::uint16_t{0}, directory, reactor_config,
-        *reactor, lane_pool);
-    transport = reactor_transport.get();
-    listen_port = reactor_transport->port();
-  } else {
-    net::TcpTransport::Config transport_config;
-    transport_config.retransmit_interval_micros = 20'000;
-    transport_config.auth = wire_auth;
-    tcp_transport = std::make_unique<net::TcpTransport>(
-        self, "127.0.0.1", std::uint16_t{0}, directory, transport_config);
-    transport = tcp_transport.get();
-    listen_port = tcp_transport->port();
-  }
+  // Bind an ephemeral port, publish it, and resolve the peer's.
+  net::Reactor reactor;
+  auto lane_pool = std::make_shared<net::TaskPool>(4);
+  net::ReactorTransport::Config reactor_config;
+  reactor_config.retransmit_interval_micros = 20'000;
+  reactor_config.auth = wire_auth;
+  net::ReactorTransport transport(self, "127.0.0.1", std::uint16_t{0},
+                                  directory, reactor_config, reactor,
+                                  lane_pool);
+  const std::uint16_t listen_port = transport.port();
   directory->set(self, net::PeerAddress{"127.0.0.1", listen_port});
 
   net::SystemClock clock;
@@ -477,10 +454,10 @@ int main(int argc, char** argv) {
   // Real deployment: per-object dispatch lanes, so a slow run on one
   // shared object never delays another object's runs.
   config.shard_lanes = true;
-  // On the reactor stack, lanes drain on the shared executor pool
-  // instead of one thread per object shard.
+  // Lanes drain on the shared executor pool instead of one thread per
+  // object shard.
   config.lane_pool = lane_pool;
-  core::Coordinator coordinator(config, *transport, clock, nullptr);
+  core::Coordinator coordinator(config, transport, clock, nullptr);
   for (std::size_t i = 0; i < roster.size(); ++i) {
     if (roster[i] == self) continue;
     coordinator.add_known_party(
@@ -489,7 +466,7 @@ int main(int argc, char** argv) {
   }
 
   if (args.deal) {
-    return run_deal_demo(args, coordinator, *transport, roster, self, peer,
+    return run_deal_demo(args, coordinator, transport, roster, self, peer,
                          directory, listen_port);
   }
 
@@ -521,7 +498,7 @@ int main(int argc, char** argv) {
       directory, fs::path(args.port_dir) / (peer.str() + ".port"), peer,
       peer_host);
   std::cout << "[" << args.party << "] listening on " << listen_port
-            << " (" << args.transport << (args.auth ? "+auth" : "")
+            << " (reactor" << (args.auth ? "+auth" : "")
             << "), peer " << peer.str() << " on " << peer_port << std::endl;
 
   // The scripted game: X top row in three, O answering twice.

@@ -41,6 +41,9 @@ void Sha256::reset() {
 }
 
 Sha256& Sha256::update(BytesView data) {
+  // An empty view may carry a null data(); memcpy from null is undefined
+  // even for zero bytes.
+  if (data.empty()) return *this;
   total_len_ += data.size();
   std::size_t offset = 0;
   if (buffer_len_ > 0) {

@@ -1,16 +1,13 @@
-// Shared wire marshalling for the socket runtimes.
+// Wire marshalling for the socket runtime (ReactorRuntime).
 //
-// TcpRuntime (thread-per-connection) and ReactorRuntime (epoll) speak
-// the *same* byte stream: every message is a length-prefixed CRC-framed
-// frame, the first frame in each direction is a handshake naming the
-// sending party and its incarnation, and data/ack frames carry the §4.2
-// positive-acknowledgement sequence numbers. Keeping the encoding in
-// one place is what makes the two runtimes wire-compatible — a reactor
-// gateway can terminate connections from thread-per-peer processes and
-// vice versa. In Basic Remoting Patterns terms this header is the
-// MARSHALLER; the runtimes differ only in their SERVER REQUEST HANDLER
-// (how bytes reach the process), and the coordinator above both is the
-// INVOKER.
+// Every message is a length-prefixed CRC-framed frame, the first frame
+// in each direction is a handshake naming the sending party and its
+// incarnation, and data/ack frames carry the §4.2 positive-
+// acknowledgement sequence numbers. Keeping the encoding apart from the
+// event loop lets tests and the intruder proxy speak the wire directly.
+// In Basic Remoting Patterns terms this header is the MARSHALLER; the
+// reactor is the SERVER REQUEST HANDLER (how bytes reach the process),
+// and the coordinator above it is the INVOKER.
 //
 // Wire v2 (intruder hardening, DESIGN.md §11): data and ack frames name
 // the incarnation their sequence number belongs to. Sequence numbers are

@@ -2,9 +2,9 @@
 // pool, FIFO strands over it, and an epoll Reactor with a hierarchical
 // timer wheel.
 //
-// The thread model inverts the earlier runtimes'. TcpRuntime spends
-// two threads per party plus one per connection, and ThreadedRuntime
-// adds a lane thread per shard; here the process runs ONE loop thread
+// The thread model inverts the threaded runtime's, which spends a
+// receiver and a retransmit thread per party plus a lane thread per
+// shard; here the process runs ONE loop thread
 // (all socket I/O, all timers) plus a small fixed pool of workers that
 // execute everything that may block or take real CPU — handler
 // deliveries, shard-lane dispatch, Clock::schedule callbacks. Nothing

@@ -164,12 +164,15 @@ void ReactorTransport::send(const PartyId& to, Bytes payload) {
       dial(to);
       return;
     }
-    if (it->second->connecting) return;  // flushed on connect completion
-    if (config_.auth.enabled && !it->second->keys.has_send) return;
+    // A copy, not a reference into active_: a failed write kills the
+    // connection, and kill_conn erases this very entry.
+    const ConnPtr conn = it->second;
+    if (conn->connecting) return;  // flushed on connect completion
+    if (config_.auth.enabled && !conn->keys.has_send) return;
     Bytes encoded = frame::encode_data(incarnation_, seq, wire_payload);
-    if (config_.auth.enabled) append_mac(encoded, it->second->keys.send);
-    queue_frame(it->second, frame::frame_payload(encoded), copies, false);
-    flush_conn(it->second);
+    if (config_.auth.enabled) append_mac(encoded, conn->keys.send);
+    queue_frame(conn, frame::frame_payload(encoded), copies, false);
+    flush_conn(conn);
   });
 }
 
@@ -457,14 +460,15 @@ bool ReactorTransport::parse_frames(const ConnPtr& conn) {
           queue_frame(conn, frame::frame_payload(reply_hello), 1,
                       /*force=*/true);
         }
-        // Outstanding frames flush only after any hello reply is queued:
-        // on a simultaneous open the peer's side of this socket is still
-        // pre-handshake, and data leading the reply is a protocol
-        // violation that would kill the connection (and retrigger
-        // identically every retransmit tick — a permanent reconnect
-        // storm).
-        flush_outgoing_to(conn->peer, conn);
-        if (conn->dead) return true;
+        // Outstanding frames are not flushed here; the retransmit tick
+        // re-offers them on this connection. That keeps the hello reply
+        // ahead of any data (on a simultaneous open the peer's side is
+        // still pre-handshake, and data leading the reply would kill the
+        // connection). It also keeps our retransmissions behind the acks
+        // for the data that follows the hello in this stream: an
+        // intruder who kills each connection right after a frame it
+        // attacks would otherwise destroy those acks every time, and
+        // both sides would retransmit into the same kill forever.
       } else if (type == frame::kData) {
         const std::uint64_t frame_inc = dec.u64();
         const std::uint64_t seq = dec.u64();
@@ -741,7 +745,7 @@ void ReactorTransport::flush_outgoing_to(const PartyId& peer,
     if (!alive_) return;
     for (auto it = outgoing_.lower_bound({peer, 0});
          it != outgoing_.end() && it->first.first == peer; ++it) {
-      // Each wire write is a fresh fault sample (TcpTransport semantics):
+      // Each wire write is a fresh fault sample (TcpFaults semantics):
       // a frame dropped here stays in outgoing_ for the retransmit tick.
       Bytes encoded = frame::encode_data(incarnation_, it->first.second,
                                          it->second.payload);

@@ -24,9 +24,9 @@
 //     other processing; a bad tag bumps `frames_rejected_auth` and kills
 //     the connection.
 //
-// Both runtimes (tcp_runtime, reactor_runtime) consume exactly this API;
+// The reactor runtime and the intruder tests consume exactly this API;
 // the policy — reject on mode mismatch in either direction, fail closed
-// on missing keys — lives here so the two stacks cannot drift.
+// on missing keys — lives here, apart from the event loop.
 #pragma once
 
 #include <cstdint>

@@ -16,7 +16,8 @@
 //     per-run escapes, and a mid-replicate crash still commits
 //     everywhere;
 //   * a multi-seed soak of concurrent deals (commit, veto and crash
-//     rounds) on the simulator and once over real TCP sockets;
+//     rounds) on the simulator and once over real TCP sockets on the
+//     reactor runtime;
 //   * a golden-digest determinism test pinning the multi-deal
 //     interleaving bit-for-bit under both coordinator lock modes.
 #include <gtest/gtest.h>
@@ -86,10 +87,11 @@ std::string fresh_journal_root(const std::string& tag) {
 }
 
 Federation::Options journaled_options(const std::string& tag,
-                                      RuntimeKind kind, std::uint64_t seed) {
-  Federation::Options options = test::runtime_options(kind, seed);
+                                      test::RuntimeLeg leg,
+                                      std::uint64_t seed) {
+  Federation::Options options = test::runtime_options(leg, seed);
   options.journal_root = fresh_journal_root(tag);
-  if (kind != RuntimeKind::kSim) {
+  if (leg != test::RuntimeLeg::kSim) {
     options.run_probe_interval_micros = 200'000;
   }
   return options;
@@ -113,9 +115,10 @@ struct DealParties {
   // Journaled throughout: the deal layer assumes the paper's stable
   // storage, under which a response straggling in after an abort closed
   // its leg is answered idempotently instead of branded a §4.4 replay.
-  DealParties(const std::string& tag, RuntimeKind kind, std::uint64_t seed)
-      : DealParties(journaled_options(tag + "_" + test::runtime_suffix(kind),
-                                      kind, seed)) {}
+  DealParties(const std::string& tag, test::RuntimeLeg leg,
+              std::uint64_t seed)
+      : DealParties(journaled_options(tag + "_" + test::runtime_suffix(leg),
+                                      leg, seed)) {}
 
   explicit DealParties(const Federation::Options& options)
       : fed({"alpha", "beta", "gamma"}, options) {
@@ -437,9 +440,9 @@ struct DealRecoveryWorld {
 
   static constexpr const char* kNames[3] = {"alpha", "beta", "gamma"};
 
-  DealRecoveryWorld(const std::string& tag, RuntimeKind kind,
+  DealRecoveryWorld(const std::string& tag, test::RuntimeLeg leg,
                     std::uint64_t seed)
-      : fed({"alpha", "beta", "gamma"}, journaled_options(tag, kind, seed)) {
+      : fed({"alpha", "beta", "gamma"}, journaled_options(tag, leg, seed)) {
     for (std::size_t p = 0; p < 3; ++p) {
       fed.register_object(kNames[p], kLedger, regs[p][0]);
       fed.register_object(kNames[p], kAudit, regs[p][1]);
@@ -562,7 +565,7 @@ Bytes run_deal_sim_case(const std::string& point, const std::string& crasher,
       test::sanitized_point(point) + "_" + crasher + tag_suffix;
   Bytes fingerprint;
   {
-    DealRecoveryWorld w(tag, RuntimeKind::kSim, seed);
+    DealRecoveryWorld w(tag, test::RuntimeLeg::kSim, seed);
     w.warm_up();
     if (veto) {
       w.reg("gamma", 1).policy = [](BytesView, const ValidationContext&) {
@@ -661,11 +664,11 @@ TEST(DealCrashCampaign, CampaignCasesAreDeterministic) {
 
 /// Representative deal points on a real-thread runtime: same shape as the
 /// sim cases, with wall-clock downtime instead of virtual time.
-void run_realtime_deal_case(const std::string& point, RuntimeKind kind) {
+void run_realtime_deal_case(const std::string& point, test::RuntimeLeg leg) {
   const std::string tag = test::sanitized_point(point) + "_rt_" +
-                          test::runtime_suffix(kind);
+                          test::runtime_suffix(leg);
   {
-    DealRecoveryWorld w(tag, kind, test::campaign_seed());
+    DealRecoveryWorld w(tag, leg, test::campaign_seed());
     w.warm_up();
 
     w.fed.coordinator("alpha").arm_crash_point(point);
@@ -704,11 +707,13 @@ void run_realtime_deal_case(const std::string& point, RuntimeKind kind) {
 }
 
 TEST(DealCrashCampaignThreaded, InitiatorCrashBeforeDecisionJournaled) {
-  run_realtime_deal_case("deal-decide.pre-journal", RuntimeKind::kThreaded);
+  run_realtime_deal_case("deal-decide.pre-journal",
+                         test::RuntimeLeg::kThreaded);
 }
 
 TEST(DealCrashCampaignThreaded, InitiatorCrashAfterDecisionJournaled) {
-  run_realtime_deal_case("deal-decide.journaled", RuntimeKind::kThreaded);
+  run_realtime_deal_case("deal-decide.journaled",
+                         test::RuntimeLeg::kThreaded);
 }
 
 // ---------------------------------------------------------------------------
@@ -724,7 +729,7 @@ TEST(DealCrashCampaignThreaded, InitiatorCrashAfterDecisionJournaled) {
 TEST(DealTtpEscape, WithheldDecisionEndsInCertifiedAbort) {
   const std::string tag = "ttp_withheld";
   {
-    DealRecoveryWorld w(tag, RuntimeKind::kSim, 17);
+    DealRecoveryWorld w(tag, test::RuntimeLeg::kSim, 17);
     w.warm_up();
     w.fed.enable_ttp_termination(kLedger, 500'000);
     w.fed.enable_ttp_termination(kAudit, 500'000);
@@ -780,7 +785,7 @@ TEST(DealTtpEscape, WithheldDecisionEndsInCertifiedAbort) {
 TEST(DealTtpEscape, MidReplicateCrashStillCommitsEverywhere) {
   const std::string tag = "ttp_midreplicate";
   {
-    DealRecoveryWorld w(tag, RuntimeKind::kSim, 19);
+    DealRecoveryWorld w(tag, test::RuntimeLeg::kSim, 19);
     w.warm_up();
     w.fed.enable_ttp_termination(kLedger, 500'000);
     w.fed.enable_ttp_termination(kAudit, 500'000);
@@ -828,7 +833,7 @@ std::uint64_t deal_seed() {
   return seed != nullptr ? std::strtoull(seed, nullptr, 10) : 3;
 }
 
-void run_deal_soak(RuntimeKind kind, std::uint64_t seed, bool with_crash,
+void run_deal_soak(test::RuntimeLeg leg, std::uint64_t seed, bool with_crash,
                    const std::string& tag, int rounds = 6) {
   const std::vector<ObjectId> objects = {ObjectId{"obj0"}, ObjectId{"obj1"},
                                          ObjectId{"obj2"}, ObjectId{"obj3"}};
@@ -836,7 +841,7 @@ void run_deal_soak(RuntimeKind kind, std::uint64_t seed, bool with_crash,
   {
     TestRegister regs[3][4];
     Federation fed({"alpha", "beta", "gamma"},
-                   journaled_options(tag, kind, seed));
+                   journaled_options(tag, leg, seed));
     for (std::size_t p = 0; p < names.size(); ++p) {
       for (std::size_t o = 0; o < objects.size(); ++o) {
         fed.register_object(names[p], objects[o], regs[p][o]);
@@ -870,7 +875,7 @@ void run_deal_soak(RuntimeKind kind, std::uint64_t seed, bool with_crash,
         return "r" + std::to_string(round) + "-" + std::to_string(o);
       };
       const bool crash_round =
-          with_crash && kind == RuntimeKind::kSim && round == 3;
+          with_crash && leg == test::RuntimeLeg::kSim && round == 3;
       if (crash_round) {
         fed.coordinator("alpha").arm_crash_point("deal-decide.journaled");
       }
@@ -960,14 +965,14 @@ TEST(DealSoak, SimSeedsSweep) {
   for (std::uint64_t offset : {0, 2, 4, 8, 10, 14}) {
     const std::uint64_t seed = base + offset;
     SCOPED_TRACE("seed " + std::to_string(seed));
-    run_deal_soak(RuntimeKind::kSim, seed, /*with_crash=*/true,
+    run_deal_soak(test::RuntimeLeg::kSim, seed, /*with_crash=*/true,
                   "soak_sim_" + std::to_string(seed));
   }
 }
 
-TEST(DealSoak, TcpRuntimeOnce) {
-  run_deal_soak(RuntimeKind::kTcp, deal_seed(), /*with_crash=*/false,
-                "soak_tcp", /*rounds=*/4);
+TEST(DealSoak, ReactorRuntimeOnce) {
+  run_deal_soak(test::RuntimeLeg::kReactor, deal_seed(), /*with_crash=*/false,
+                "soak_reactor", /*rounds=*/4);
 }
 
 // ---------------------------------------------------------------------------

@@ -19,16 +19,18 @@ using test::TestRegister;
 
 const ObjectId kObj{"doc"};
 
-class LossSweepTest
-    : public ::testing::TestWithParam<
-          std::tuple<std::tuple<double, std::uint64_t>, RuntimeKind>> {};
+/// ((drop probability, seed), runtime leg).
+using LossParam =
+    std::tuple<std::tuple<double, std::uint64_t>, test::RuntimeLeg>;
+
+class LossSweepTest : public ::testing::TestWithParam<LossParam> {};
 
 TEST_P(LossSweepTest, CoordinationCompletesDespiteLoss) {
   auto [drop, seed] = std::get<0>(GetParam());
-  RuntimeKind kind = std::get<1>(GetParam());
+  test::RuntimeLeg leg = std::get<1>(GetParam());
   TestRegister objs[3];
   Federation fed{{"a", "b", "c"},
-                 test::runtime_options(kind, seed, drop, 0.0)};
+                 test::runtime_options(leg, seed, drop, 0.0)};
   const char* names[] = {"a", "b", "c"};
   for (int i = 0; i < 3; ++i) fed.register_object(names[i], kObj, objs[i]);
   fed.bootstrap_object(kObj, {"a", "b", "c"}, bytes_of("genesis"));
@@ -55,10 +57,8 @@ INSTANTIATE_TEST_SUITE_P(
                           std::make_tuple(0.1, 2ull),
                           std::make_tuple(0.3, 3ull),
                           std::make_tuple(0.5, 4ull)),
-        ::testing::Values(RuntimeKind::kSim, RuntimeKind::kThreaded,
-                          RuntimeKind::kTcp)),
-    [](const ::testing::TestParamInfo<
-        std::tuple<std::tuple<double, std::uint64_t>, RuntimeKind>>& info) {
+        ::testing::Values(test::RuntimeLeg::kSim, test::RuntimeLeg::kThreaded)),
+    [](const ::testing::TestParamInfo<LossParam>& info) {
       int percent =
           static_cast<int>(std::get<0>(std::get<0>(info.param)) * 100 + 0.5);
       return "Drop" + std::to_string(percent) +

@@ -33,8 +33,8 @@ struct ConnectFixture {
   TestRegister gamma_obj;
   Federation fed;
 
-  explicit ConnectFixture(RuntimeKind kind = RuntimeKind::kSim)
-      : fed({"alpha", "beta", "gamma"}, test::runtime_options(kind)) {
+  explicit ConnectFixture(test::RuntimeLeg leg = test::RuntimeLeg::kSim)
+      : fed({"alpha", "beta", "gamma"}, test::runtime_options(leg)) {
     fed.register_object("alpha", kObj, alpha_obj);
     fed.register_object("beta", kObj, beta_obj);
     fed.register_object("gamma", kObj, gamma_obj);

@@ -290,12 +290,12 @@ TEST(PipelineLockModeAblation, CoarseAndPerObjectAgree) {
 // The batch crash-point campaign
 // ---------------------------------------------------------------------------
 
-Federation::Options campaign_options(const std::string& tag, RuntimeKind kind,
-                                     std::uint64_t seed) {
-  Federation::Options options = test::runtime_options(kind, seed);
+Federation::Options campaign_options(const std::string& tag,
+                                     test::RuntimeLeg leg, std::uint64_t seed) {
+  Federation::Options options = test::runtime_options(leg, seed);
   options.pipeline = true;
   options.journal_root = fresh_journal_root(tag);
-  if (kind != RuntimeKind::kSim) {
+  if (leg != test::RuntimeLeg::kSim) {
     options.run_probe_interval_micros = 200'000;
   }
   return options;
@@ -314,7 +314,7 @@ Bytes run_batch_sim_case(const std::string& point, const std::string& crasher,
       test::sanitized_point(point) + "_" + crasher + tag_suffix;
   Bytes fingerprint;
   {
-    Parties p(campaign_options(tag, RuntimeKind::kSim, seed));
+    Parties p(campaign_options(tag, test::RuntimeLeg::kSim, seed));
     p.warm_up();
 
     p.fed.coordinator(crasher).arm_crash_point(point);
@@ -420,11 +420,12 @@ TEST(PipelineCrashCampaign, RecoveryIsDeterministic) {
 
 /// A representative batch campaign case on a real-time runtime.
 void run_batch_realtime_case(const std::string& point,
-                             const std::string& crasher, RuntimeKind kind) {
+                             const std::string& crasher,
+                             test::RuntimeLeg leg) {
   const std::string tag = test::sanitized_point(point) + "_" + crasher + "_" +
-                          test::runtime_suffix(kind);
+                          test::runtime_suffix(leg);
   {
-    Parties p(campaign_options(tag, kind, /*seed=*/5));
+    Parties p(campaign_options(tag, leg, /*seed=*/5));
     p.warm_up();
 
     p.fed.coordinator(crasher).arm_crash_point(point);
@@ -466,12 +467,12 @@ void run_batch_realtime_case(const std::string& point,
 
 TEST(PipelineCrashCampaignThreaded, ProposerCrashAfterBatchDecideJournaled) {
   run_batch_realtime_case("batch-decide.journaled", "alpha",
-                          RuntimeKind::kThreaded);
+                          test::RuntimeLeg::kThreaded);
 }
 
 TEST(PipelineCrashCampaignThreaded, ResponderCrashAfterBatchRespondJournaled) {
   run_batch_realtime_case("batch-respond.journaled", "beta",
-                          RuntimeKind::kThreaded);
+                          test::RuntimeLeg::kThreaded);
 }
 
 // ---------------------------------------------------------------------------

@@ -62,10 +62,11 @@ std::string fresh_journal_root(const std::string& tag) {
 }
 
 Federation::Options journaled_options(const std::string& tag,
-                                      RuntimeKind kind, std::uint64_t seed) {
-  Federation::Options options = test::runtime_options(kind, seed);
+                                      test::RuntimeLeg leg,
+                                      std::uint64_t seed) {
+  Federation::Options options = test::runtime_options(leg, seed);
   options.journal_root = fresh_journal_root(tag);
-  if (kind != RuntimeKind::kSim) {
+  if (leg != test::RuntimeLeg::kSim) {
     // Real-time probe cadence: keep the worst case (probe-driven
     // recovery) well inside the test budget.
     options.run_probe_interval_micros = 200'000;
@@ -83,8 +84,8 @@ struct Parties {
   TestRegister gamma_obj;
   Federation fed;
 
-  Parties(const std::string& tag, RuntimeKind kind, std::uint64_t seed)
-      : fed({"alpha", "beta", "gamma"}, journaled_options(tag, kind, seed)) {
+  Parties(const std::string& tag, test::RuntimeLeg leg, std::uint64_t seed)
+      : fed({"alpha", "beta", "gamma"}, journaled_options(tag, leg, seed)) {
     fed.register_object("alpha", kObj, alpha_obj);
     fed.register_object("beta", kObj, beta_obj);
     fed.register_object("gamma", kObj, gamma_obj);
@@ -132,7 +133,7 @@ Bytes run_sim_case(const std::string& point, const std::string& crasher,
   const std::string tag = sanitized(point) + "_" + crasher + tag_suffix;
   Bytes fingerprint;
   {
-    Parties p(tag, RuntimeKind::kSim, seed);
+    Parties p(tag, test::RuntimeLeg::kSim, seed);
     p.warm_up();
 
     p.fed.coordinator(crasher).arm_crash_point(point);
@@ -212,9 +213,10 @@ struct MemberParties {
   TestRegister delta_obj;
   Federation fed;
 
-  MemberParties(const std::string& tag, RuntimeKind kind, std::uint64_t seed)
+  MemberParties(const std::string& tag, test::RuntimeLeg leg,
+                std::uint64_t seed)
       : fed({"alpha", "beta", "gamma", "delta"},
-            journaled_options(tag, kind, seed)) {
+            journaled_options(tag, leg, seed)) {
     fed.register_object("alpha", kObj, alpha_obj);
     fed.register_object("beta", kObj, beta_obj);
     fed.register_object("gamma", kObj, gamma_obj);
@@ -269,7 +271,7 @@ Bytes run_membership_sim_case(const std::string& point,
   const std::vector<std::string> kAll = {"alpha", "beta", "gamma", "delta"};
   Bytes fingerprint;
   {
-    MemberParties p(tag, RuntimeKind::kSim, seed);
+    MemberParties p(tag, test::RuntimeLeg::kSim, seed);
     p.warm_up();
 
     p.fed.coordinator(crasher).arm_crash_point(point);
@@ -341,7 +343,7 @@ Bytes run_membership_sim_case(const std::string& point,
 void run_termination_sim_case(const std::string& point, std::uint64_t seed) {
   const std::string tag = "t_" + sanitized(point);
   {
-    Parties p(tag, RuntimeKind::kSim, seed);
+    Parties p(tag, test::RuntimeLeg::kSim, seed);
     p.fed.enable_ttp_termination(kObj, 500'000);
     p.warm_up();
 
@@ -454,7 +456,7 @@ TEST_P(Recovery, MembershipDecideJournaledButUnappliedConverges) {
         [&] { return p.fed.coordinator("beta").crashed(); }));
 
     p.fed.crash_party("beta");
-    if (GetParam() == RuntimeKind::kSim) {
+    if (GetParam() == test::RuntimeLeg::kSim) {
       p.fed.scheduler().run_until(p.fed.scheduler().now() + 300'000);
     } else {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -538,7 +540,7 @@ TEST(CrashCampaign, TerminationCrashEveryPoint) {
 TEST(CrashCampaign, RelayedEvictionProposerCrashAtRequestJournaled) {
   const std::string tag = "m_relayed_evict";
   {
-    Parties p(tag, RuntimeKind::kSim, campaign_seed());
+    Parties p(tag, test::RuntimeLeg::kSim, campaign_seed());
     p.warm_up();
 
     // alpha proposes evicting beta; the legitimate sponsor is gamma, so
@@ -579,7 +581,7 @@ TEST(CrashCampaign, RelayedEvictionProposerCrashAtRequestJournaled) {
 TEST(CrashCampaign, DisconnectSponsorCrashAtDecideJournaled) {
   const std::string tag = "m_disconnect_sponsor";
   {
-    Parties p(tag, RuntimeKind::kSim, campaign_seed());
+    Parties p(tag, test::RuntimeLeg::kSim, campaign_seed());
     p.warm_up();
 
     // alpha leaves voluntarily; the sponsor for alpha's departure is
@@ -628,8 +630,9 @@ TEST(CrashCampaign, CrashWithInFlightRunsOnTwoObjectsResumesBoth) {
   {
     TestRegister alpha_led, beta_led, gamma_led;
     TestRegister alpha_ord, beta_ord, gamma_ord;
-    Federation fed({"alpha", "beta", "gamma"},
-                   journaled_options(tag, RuntimeKind::kSim, campaign_seed()));
+    Federation fed(
+        {"alpha", "beta", "gamma"},
+        journaled_options(tag, test::RuntimeLeg::kSim, campaign_seed()));
     fed.register_object("alpha", kObj, alpha_led);
     fed.register_object("beta", kObj, beta_led);
     fed.register_object("gamma", kObj, gamma_led);
@@ -753,7 +756,7 @@ TEST(CrashCampaignCombined, SponsorCrashDuringPartitionThatHeals) {
   const std::string tag = "m_partition_heal";
   const std::vector<std::string> kAll = {"alpha", "beta", "gamma", "delta"};
   {
-    MemberParties p(tag, RuntimeKind::kSim, campaign_seed());
+    MemberParties p(tag, test::RuntimeLeg::kSim, campaign_seed());
     p.warm_up();
 
     p.fed.network().partition(
@@ -804,7 +807,7 @@ TEST(CrashCampaignCombined, SponsorCrashDuringPartitionThatHeals) {
 TEST(CrashCampaignCombined, EvictionTargetsTheCrashedSponsor) {
   const std::string tag = "m_evict_crashed_sponsor";
   {
-    MemberParties p(tag, RuntimeKind::kSim, campaign_seed());
+    MemberParties p(tag, test::RuntimeLeg::kSim, campaign_seed());
     p.warm_up();
 
     p.fed.coordinator("gamma").arm_crash_point("m-propose.journaled");
@@ -864,16 +867,18 @@ TEST(CrashCampaignCombined, EvictionTargetsTheCrashedSponsor) {
 
 // --- representative crashes on real threads and real sockets ----------------
 
-/// One campaign case on a real-time runtime (threaded or tcp): handles
+/// One campaign case on a real-time runtime leg (threaded, reactor, or
+/// reactor with wire authentication — there the restarted party's new
+/// incarnation renegotiates its session keys at the hello): handles
 /// (atomics) are awaited instead of polling replica state from the test
 /// thread, and convergence is asserted only after settle()'s
 /// synchronisation.
 void run_realtime_case(const std::string& point, const std::string& crasher,
-                       RuntimeKind kind) {
+                       test::RuntimeLeg leg) {
   const std::string tag = sanitized(point) + "_" + crasher + "_" +
-                          test::runtime_suffix(kind);
+                          test::runtime_suffix(leg);
   {
-    Parties p(tag, kind, /*seed=*/5);
+    Parties p(tag, leg, /*seed=*/5);
     p.warm_up();
 
     p.fed.coordinator(crasher).arm_crash_point(point);
@@ -912,27 +917,27 @@ void run_realtime_case(const std::string& point, const std::string& crasher,
 }
 
 TEST(CrashCampaignThreaded, ProposerCrashAfterDecideJournaled) {
-  run_realtime_case("decide.journaled", "alpha", RuntimeKind::kThreaded);
+  run_realtime_case("decide.journaled", "alpha", test::RuntimeLeg::kThreaded);
 }
 
 TEST(CrashCampaignThreaded, ResponderCrashAfterRespondJournaled) {
-  run_realtime_case("respond.journaled", "beta", RuntimeKind::kThreaded);
+  run_realtime_case("respond.journaled", "beta", test::RuntimeLeg::kThreaded);
 }
 
 TEST(CrashCampaignTcp, ProposerCrashAfterDecideJournaled) {
-  run_realtime_case("decide.journaled", "alpha", RuntimeKind::kTcp);
+  run_realtime_case("decide.journaled", "alpha", test::RuntimeLeg::kAuthTcp);
 }
 
 TEST(CrashCampaignTcp, ResponderCrashAfterRespondJournaled) {
-  run_realtime_case("respond.journaled", "beta", RuntimeKind::kTcp);
+  run_realtime_case("respond.journaled", "beta", test::RuntimeLeg::kAuthTcp);
 }
 
 TEST(CrashCampaignReactor, ProposerCrashAfterDecideJournaled) {
-  run_realtime_case("decide.journaled", "alpha", RuntimeKind::kReactor);
+  run_realtime_case("decide.journaled", "alpha", test::RuntimeLeg::kReactor);
 }
 
 TEST(CrashCampaignReactor, ResponderCrashAfterRespondJournaled) {
-  run_realtime_case("respond.journaled", "beta", RuntimeKind::kReactor);
+  run_realtime_case("respond.journaled", "beta", test::RuntimeLeg::kReactor);
 }
 
 /// A membership campaign case on a real-time runtime. As with
@@ -940,11 +945,11 @@ TEST(CrashCampaignReactor, ResponderCrashAfterRespondJournaled) {
 /// thread; replica state is inspected after settle().
 void run_realtime_membership_case(const std::string& point,
                                   const std::string& crasher,
-                                  RuntimeKind kind) {
+                                  test::RuntimeLeg leg) {
   const std::string tag = "m_" + sanitized(point) + "_" + crasher + "_" +
-                          test::runtime_suffix(kind);
+                          test::runtime_suffix(leg);
   {
-    MemberParties p(tag, kind, /*seed=*/5);
+    MemberParties p(tag, leg, /*seed=*/5);
     p.warm_up();
 
     p.fed.coordinator(crasher).arm_crash_point(point);
@@ -984,32 +989,32 @@ void run_realtime_membership_case(const std::string& point,
 
 TEST(CrashCampaignThreaded, SponsorCrashAfterMembershipDecideJournaled) {
   run_realtime_membership_case("m-decide.journaled", "gamma",
-                               RuntimeKind::kThreaded);
+                               test::RuntimeLeg::kThreaded);
 }
 
 TEST(CrashCampaignThreaded, RecipientCrashAfterMembershipRespondJournaled) {
   run_realtime_membership_case("m-respond.journaled", "beta",
-                               RuntimeKind::kThreaded);
+                               test::RuntimeLeg::kThreaded);
 }
 
 TEST(CrashCampaignTcp, SponsorCrashAfterMembershipDecideJournaled) {
   run_realtime_membership_case("m-decide.journaled", "gamma",
-                               RuntimeKind::kTcp);
+                               test::RuntimeLeg::kAuthTcp);
 }
 
 TEST(CrashCampaignTcp, RecipientCrashAfterMembershipRespondJournaled) {
   run_realtime_membership_case("m-respond.journaled", "beta",
-                               RuntimeKind::kTcp);
+                               test::RuntimeLeg::kAuthTcp);
 }
 
 TEST(CrashCampaignReactor, SponsorCrashAfterMembershipDecideJournaled) {
   run_realtime_membership_case("m-decide.journaled", "gamma",
-                               RuntimeKind::kReactor);
+                               test::RuntimeLeg::kReactor);
 }
 
 TEST(CrashCampaignReactor, RecipientCrashAfterMembershipRespondJournaled) {
   run_realtime_membership_case("m-respond.journaled", "beta",
-                               RuntimeKind::kReactor);
+                               test::RuntimeLeg::kReactor);
 }
 
 // --- delivery failure -> suspicion ------------------------------------------
@@ -1018,7 +1023,7 @@ TEST(Recovery, ExhaustedRetransmissionMarksPeerSuspect) {
   const std::string tag = "suspect";
   {
     Federation::Options options =
-        journaled_options(tag, RuntimeKind::kSim, /*seed=*/3);
+        journaled_options(tag, test::RuntimeLeg::kSim, /*seed=*/3);
     options.reliable.max_retransmits = 5;
 
     TestRegister alpha_obj;

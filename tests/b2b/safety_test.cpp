@@ -126,8 +126,8 @@ struct SafetyFixture {
   Federation fed;
   Mallory mallory{fed, "mallory"};
 
-  explicit SafetyFixture(RuntimeKind kind = RuntimeKind::kSim)
-      : fed({"bob", "carol", "mallory"}, test::runtime_options(kind)) {
+  explicit SafetyFixture(test::RuntimeLeg leg = test::RuntimeLeg::kSim)
+      : fed({"bob", "carol", "mallory"}, test::runtime_options(leg)) {
     fed.register_object("bob", kObj, bob_obj);
     fed.register_object("carol", kObj, carol_obj);
     fed.coordinator("mallory").register_object(kObj, mallory_obj);

@@ -130,9 +130,9 @@ TEST_P(ShardingStress, EightObjectsFourPartiesConvergeUnderFaults) {
 
 INSTANTIATE_TEST_SUITE_P(
     RealThreadRuntimes, ShardingStress,
-    ::testing::Values(RuntimeKind::kThreaded, RuntimeKind::kTcp,
-                      RuntimeKind::kReactor),
-    [](const ::testing::TestParamInfo<RuntimeKind>& info) {
+    ::testing::Values(test::RuntimeLeg::kThreaded, test::RuntimeLeg::kAuthTcp,
+                      test::RuntimeLeg::kReactor),
+    [](const ::testing::TestParamInfo<test::RuntimeLeg>& info) {
       return test::runtime_suffix(info.param);
     });
 

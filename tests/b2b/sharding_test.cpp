@@ -129,7 +129,7 @@ TEST_P(Sharding, MultiObjectConcurrentRunsAgreeIndependently) {
     // dispatch and lookup went through the shared (reader) side.
     EXPECT_EQ(router.map_exclusive_locks, kObjs.size()) << name;
     EXPECT_GT(router.messages_routed, 0u) << name;
-    if (GetParam() == RuntimeKind::kSim) {
+    if (GetParam() == test::RuntimeLeg::kSim) {
       EXPECT_EQ(router.lane_posts, 0u) << name;  // inline dispatch
     } else {
       EXPECT_GT(router.lane_posts, 0u) << name;  // strand dispatch
@@ -226,8 +226,9 @@ TEST_P(ShardingLanes, BlockedValidateOnOneObjectDoesNotBlockAnother) {
 
 INSTANTIATE_TEST_SUITE_P(
     RealThreadRuntimes, ShardingLanes,
-    ::testing::Values(RuntimeKind::kThreaded, RuntimeKind::kTcp),
-    [](const ::testing::TestParamInfo<RuntimeKind>& info) {
+    ::testing::Values(test::RuntimeLeg::kThreaded, test::RuntimeLeg::kAuthTcp,
+                      test::RuntimeLeg::kReactor),
+    [](const ::testing::TestParamInfo<test::RuntimeLeg>& info) {
       return test::runtime_suffix(info.param);
     });
 

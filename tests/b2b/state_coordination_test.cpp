@@ -28,8 +28,8 @@ struct TwoParties {
   TestRegister beta_obj;
   Federation fed;
 
-  explicit TwoParties(RuntimeKind kind = RuntimeKind::kSim)
-      : fed({"alpha", "beta"}, test::runtime_options(kind)) {
+  explicit TwoParties(test::RuntimeLeg leg = test::RuntimeLeg::kSim)
+      : fed({"alpha", "beta"}, test::runtime_options(leg)) {
     fed.register_object("alpha", kObj, alpha_obj);
     fed.register_object("beta", kObj, beta_obj);
     fed.bootstrap_object(kObj, {"alpha", "beta"}, bytes_of("genesis"));
@@ -216,7 +216,8 @@ TEST(StateCoordinationSimOnly, ProposerBusyAbortsSecondLocalProposal) {
 // --- multi-party ------------------------------------------------------------
 
 class MultiPartyTest
-    : public ::testing::TestWithParam<std::tuple<std::size_t, RuntimeKind>> {
+    : public ::testing::TestWithParam<
+          std::tuple<std::size_t, test::RuntimeLeg>> {
  protected:
   std::size_t group_size() const { return std::get<0>(GetParam()); }
   Federation::Options options() const {
@@ -275,11 +276,11 @@ TEST_P(MultiPartyTest, SingleVetoBlocksEveryone) {
 INSTANTIATE_TEST_SUITE_P(
     GroupSizes, MultiPartyTest,
     ::testing::Combine(::testing::Values(2, 3, 5, 8),
-                       ::testing::Values(RuntimeKind::kSim,
-                                         RuntimeKind::kThreaded,
-                                         RuntimeKind::kTcp)),
-    [](const ::testing::TestParamInfo<std::tuple<std::size_t, RuntimeKind>>&
-           info) {
+                       ::testing::Values(test::RuntimeLeg::kSim,
+                                         test::RuntimeLeg::kThreaded,
+                                         test::RuntimeLeg::kAuthTcp)),
+    [](const ::testing::TestParamInfo<
+        std::tuple<std::size_t, test::RuntimeLeg>>& info) {
       return "N" + std::to_string(std::get<0>(info.param)) +
              test::runtime_suffix(std::get<1>(info.param));
     });

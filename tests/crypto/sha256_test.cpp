@@ -53,6 +53,26 @@ TEST(Sha256Test, StreamingMatchesOneShot) {
   }
 }
 
+TEST(Sha256Test, EmptyUpdatesAreNoOps) {
+  // A default-constructed view has a null data(); feeding it must not
+  // touch memory, whether or not a partial block is buffered.
+  Bytes data = bytes_of("abc");
+  Sha256 fresh;
+  fresh.update(BytesView{});
+  fresh.update(data);
+  EXPECT_EQ(fresh.finish(), Sha256::hash(data));
+
+  Sha256 partial;
+  partial.update(data);
+  partial.update(BytesView{});
+  partial.update(BytesView{});
+  EXPECT_EQ(partial.finish(), Sha256::hash(data));
+
+  Sha256 empty;
+  empty.update(BytesView{});
+  EXPECT_EQ(empty.finish(), Sha256::hash(BytesView{}));
+}
+
 TEST(Sha256Test, ResetAllowsReuse) {
   Sha256 h;
   h.update(bytes_of("garbage"));
