@@ -6,11 +6,14 @@
 // explain the constant factor measured in E9.
 #include <benchmark/benchmark.h>
 
+#include <array>
+
 #include "b2b/federation.hpp"
 #include "crypto/bigint.hpp"
 #include "crypto/chacha20.hpp"
 #include "crypto/rsa.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/sha256_kernels.hpp"
 
 using namespace b2b;
 using crypto::BigInt;
@@ -28,7 +31,23 @@ void BM_Sha256(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(size));
 }
-BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(16384)->Arg(262144);
+BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(16384)->Arg(262144)->Arg(1 << 20);
+
+// The portable compression kernel alone, on whole blocks (no padding):
+// what Sha256 falls back to on CPUs without the SHA extensions.
+void BM_Sha256PortableKernel(benchmark::State& state) {
+  std::size_t size = static_cast<std::size_t>(state.range(0));
+  Bytes data(size, 0xab);
+  std::array<std::uint32_t, 8> words{};
+  for (auto _ : state) {
+    crypto::sha256_kernels::compress_portable(words.data(), data.data(),
+                                              size / 64);
+    benchmark::DoNotOptimize(words);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(size));
+}
+BENCHMARK(BM_Sha256PortableKernel)->Arg(64)->Arg(1024)->Arg(16384)->Arg(1 << 20);
 
 void BM_ChaCha20(benchmark::State& state) {
   std::size_t size = static_cast<std::size_t>(state.range(0));

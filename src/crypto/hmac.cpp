@@ -1,5 +1,6 @@
 #include "crypto/hmac.hpp"
 
+#include <array>
 #include <stdexcept>
 
 namespace b2b::crypto {
@@ -16,11 +17,16 @@ HmacSha256::HmacSha256(BytesView key) {
   } else {
     std::copy(key.begin(), key.end(), padded.begin());
   }
+  std::array<std::uint8_t, kBlockLen> pad{};
   for (std::size_t i = 0; i < kBlockLen; ++i) {
-    ipad_[i] = static_cast<std::uint8_t>(padded[i] ^ 0x36);
-    opad_[i] = static_cast<std::uint8_t>(padded[i] ^ 0x5c);
+    pad[i] = static_cast<std::uint8_t>(padded[i] ^ 0x36);
   }
-  inner_.update(BytesView{ipad_.data(), ipad_.size()});
+  inner_start_.update(BytesView{pad.data(), pad.size()});
+  for (std::size_t i = 0; i < kBlockLen; ++i) {
+    pad[i] = static_cast<std::uint8_t>(padded[i] ^ 0x5c);
+  }
+  outer_start_.update(BytesView{pad.data(), pad.size()});
+  inner_ = inner_start_;
 }
 
 HmacSha256& HmacSha256::update(BytesView data) {
@@ -30,16 +36,12 @@ HmacSha256& HmacSha256::update(BytesView data) {
 
 Digest HmacSha256::finish() {
   Digest inner_digest = inner_.finish();
-  Sha256 outer;
-  outer.update(BytesView{opad_.data(), opad_.size()});
+  Sha256 outer = outer_start_;
   outer.update(BytesView{inner_digest.data(), inner_digest.size()});
   return outer.finish();
 }
 
-void HmacSha256::reset() {
-  inner_.reset();
-  inner_.update(BytesView{ipad_.data(), ipad_.size()});
-}
+void HmacSha256::reset() { inner_ = inner_start_; }
 
 Digest HmacSha256::mac(BytesView key, BytesView data) {
   HmacSha256 h(key);

@@ -11,9 +11,6 @@
 // so a byte-by-byte early exit never leaks how much of a guess matched.
 #pragma once
 
-#include <array>
-#include <cstdint>
-
 #include "common/bytes.hpp"
 #include "crypto/sha256.hpp"
 
@@ -38,8 +35,11 @@ class HmacSha256 {
   static Digest mac(BytesView key, BytesView data);
 
  private:
-  std::array<std::uint8_t, 64> ipad_;
-  std::array<std::uint8_t, 64> opad_;
+  // Midstates after absorbing key^ipad and key^opad, computed once at key
+  // setup: reset() and finish() copy them instead of compressing a pad
+  // block again.
+  Sha256 inner_start_;
+  Sha256 outer_start_;
   Sha256 inner_;
 };
 

@@ -4,6 +4,12 @@
 #include <cstring>
 
 #include "common/error.hpp"
+#include "crypto/sha256_kernels.hpp"
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace b2b::crypto {
 
@@ -30,7 +36,169 @@ inline std::uint32_t rotr(std::uint32_t x, int n) {
   return std::rotr(x, n);
 }
 
+inline std::uint32_t load_be32(const std::uint8_t* p) {
+  return (static_cast<std::uint32_t>(p[0]) << 24) |
+         (static_cast<std::uint32_t>(p[1]) << 16) |
+         (static_cast<std::uint32_t>(p[2]) << 8) |
+         static_cast<std::uint32_t>(p[3]);
+}
+
 }  // namespace
+
+namespace sha256_kernels {
+
+void compress_portable(std::uint32_t* state, const std::uint8_t* data,
+                       std::size_t nblocks) {
+  // The chaining words stay in locals for the whole run of blocks.
+  std::uint32_t h0 = state[0], h1 = state[1], h2 = state[2], h3 = state[3];
+  std::uint32_t h4 = state[4], h5 = state[5], h6 = state[6], h7 = state[7];
+  std::array<std::uint32_t, 64> w{};
+  for (; nblocks > 0; --nblocks, data += 64) {
+    for (int i = 0; i < 16; ++i) w[i] = load_be32(data + 4 * i);
+    for (int i = 16; i < 64; ++i) {
+      std::uint32_t s0 =
+          rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      std::uint32_t s1 =
+          rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    std::uint32_t a = h0, b = h1, c = h2, d = h3;
+    std::uint32_t e = h4, f = h5, g = h6, h = h7;
+    for (int i = 0; i < 64; ++i) {
+      std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      std::uint32_t ch = (e & f) ^ (~e & g);
+      std::uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
+      std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      std::uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+
+    h0 += a;
+    h1 += b;
+    h2 += c;
+    h3 += d;
+    h4 += e;
+    h5 += f;
+    h6 += g;
+    h7 += h;
+  }
+  state[0] = h0;
+  state[1] = h1;
+  state[2] = h2;
+  state[3] = h3;
+  state[4] = h4;
+  state[5] = h5;
+  state[6] = h6;
+  state[7] = h7;
+}
+
+#if defined(__x86_64__)
+
+namespace {
+
+// CPUID leaf 1 ECX and leaf 7 (subleaf 0) EBX feature bits.
+constexpr unsigned kCpuidSsse3 = 1u << 9;
+constexpr unsigned kCpuidSse41 = 1u << 19;
+constexpr unsigned kCpuidSha = 1u << 29;
+
+bool cpu_has_shani() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  if ((ecx & kCpuidSsse3) == 0 || (ecx & kCpuidSse41) == 0) return false;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  return (ebx & kCpuidSha) != 0;
+}
+
+// The same rounds on the SHA extensions. The state lives in two vectors,
+// ABEF and CDGH, the layout sha256rnds2 wants; each rnds2 runs two rounds,
+// and sha256msg1/msg2 extend the message schedule four words at a time.
+// Group g of four rounds uses schedule words W[4g..4g+3], kept in msg[g%4].
+__attribute__((target("sha,ssse3,sse4.1"))) void compress_shani(
+    std::uint32_t* state, const std::uint8_t* data, std::size_t nblocks) {
+  // Message words are big-endian: byte-swap each 32-bit lane.
+  const __m128i byte_swap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  const auto* k = reinterpret_cast<const __m128i*>(kRoundConstants.data());
+
+  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  __m128i cdgh =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  tmp = _mm_shuffle_epi32(tmp, 0xB1);           // CDAB
+  cdgh = _mm_shuffle_epi32(cdgh, 0x1B);         // EFGH
+  __m128i abef = _mm_alignr_epi8(tmp, cdgh, 8);  // ABEF
+  cdgh = _mm_blend_epi16(cdgh, tmp, 0xF0);       // CDGH
+
+  for (; nblocks > 0; --nblocks, data += 64) {
+    const __m128i abef_save = abef;
+    const __m128i cdgh_save = cdgh;
+    __m128i msg[4] = {};
+    // Fully unrolled, every msg[] index is a constant and msg[] stays in
+    // registers.
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      __m128i& w = msg[g % 4];
+      if (g < 4) {
+        w = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * g)),
+            byte_swap);
+      }
+      const __m128i wk = _mm_add_epi32(w, _mm_loadu_si128(k + g));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      if (g >= 3 && g <= 14) {
+        // Finish W[4g+4..4g+7]: add W[t-7] and apply sigma1.
+        __m128i& next = msg[(g + 1) % 4];
+        next = _mm_add_epi32(next, _mm_alignr_epi8(w, msg[(g + 3) % 4], 4));
+        next = _mm_sha256msg2_epu32(next, w);
+      }
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+      if (g >= 1 && g <= 12) {
+        // Start W[4g+12..4g+15]: W[t-16] + sigma0(W[t-15]).
+        __m128i& prev = msg[(g + 3) % 4];
+        prev = _mm_sha256msg1_epu32(prev, w);
+      }
+    }
+    abef = _mm_add_epi32(abef, abef_save);
+    cdgh = _mm_add_epi32(cdgh, cdgh_save);
+  }
+
+  tmp = _mm_shuffle_epi32(abef, 0x1B);   // FEBA
+  cdgh = _mm_shuffle_epi32(cdgh, 0xB1);  // DCHG
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(tmp, cdgh, 0xF0));  // DCBA
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(cdgh, tmp, 8));  // HGFE
+}
+
+}  // namespace
+
+CompressFn shani_kernel() {
+  static const bool supported = cpu_has_shani();
+  return supported ? compress_shani : nullptr;
+}
+
+#else
+
+CompressFn shani_kernel() { return nullptr; }
+
+#endif
+
+void compress(std::uint32_t* state, const std::uint8_t* data,
+              std::size_t nblocks) {
+  static const CompressFn kernel =
+      shani_kernel() != nullptr ? shani_kernel() : compress_portable;
+  kernel(state, data, nblocks);
+}
+
+}  // namespace sha256_kernels
 
 Sha256::Sha256() { reset(); }
 
@@ -51,14 +219,15 @@ Sha256& Sha256::update(BytesView data) {
     std::memcpy(buffer_.data() + buffer_len_, data.data(), take);
     buffer_len_ += take;
     offset += take;
-    if (buffer_len_ == buffer_.size()) {
-      process_block(buffer_.data());
-      buffer_len_ = 0;
-    }
+    if (buffer_len_ < buffer_.size()) return *this;
+    sha256_kernels::compress(state_.data(), buffer_.data(), 1);
+    buffer_len_ = 0;
   }
-  while (data.size() - offset >= 64) {
-    process_block(data.data() + offset);
-    offset += 64;
+  // Every whole block goes to the kernel in one call.
+  const std::size_t blocks = (data.size() - offset) / 64;
+  if (blocks > 0) {
+    sha256_kernels::compress(state_.data(), data.data() + offset, blocks);
+    offset += blocks * 64;
   }
   if (offset < data.size()) {
     std::memcpy(buffer_.data(), data.data() + offset, data.size() - offset);
@@ -88,52 +257,6 @@ Digest Sha256::finish() {
     out[i * 4 + 3] = static_cast<std::uint8_t>(state_[i]);
   }
   return out;
-}
-
-void Sha256::process_block(const std::uint8_t* block) {
-  std::array<std::uint32_t, 64> w;
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[i * 4]) << 24) |
-           (static_cast<std::uint32_t>(block[i * 4 + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[i * 4 + 2]) << 8) |
-           static_cast<std::uint32_t>(block[i * 4 + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    std::uint32_t s0 =
-        rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    std::uint32_t s1 =
-        rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-
-  for (int i = 0; i < 64; ++i) {
-    std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    std::uint32_t ch = (e & f) ^ (~e & g);
-    std::uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
-    std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    std::uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
 }
 
 Digest Sha256::hash(BytesView data) { return Sha256().update(data).finish(); }

@@ -18,6 +18,10 @@ using Digest = std::array<std::uint8_t, 32>;
 
 /// Streaming SHA-256. Typical use: Sha256 h; h.update(a); h.update(b);
 /// Digest d = h.finish();
+///
+/// Whole blocks go to one compression kernel per update(): the x86-64
+/// SHA extensions when CPUID reports them, else a portable loop. The two
+/// are bit-identical; see sha256_kernels.hpp and DESIGN.md §5.
 class Sha256 {
  public:
   Sha256();
@@ -36,8 +40,6 @@ class Sha256 {
   static Digest hash(BytesView data);
 
  private:
-  void process_block(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;
   std::size_t buffer_len_ = 0;

@@ -136,7 +136,9 @@ void IntruderProxy::set_active(bool active) { active_.store(active); }
 
 IntruderStats IntruderProxy::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+  IntruderStats out = stats_;
+  out.open_pairs = pairs_.size();
+  return out;
 }
 
 void IntruderProxy::shutdown() {
@@ -172,6 +174,7 @@ void IntruderProxy::accept_loop(Tap& tap) {
   for (;;) {
     Socket client = tap.listener.accept();
     if (!client.valid()) return;  // stop()
+    reap_pairs();
     Socket victim =
         tcp_connect(tap.real.host, tap.real.port, config_.dial_timeout_micros);
     if (!victim.valid()) continue;  // victim down: client sees EOF
@@ -181,14 +184,30 @@ void IntruderProxy::accept_loop(Tap& tap) {
     pair->victim = tap.victim;
     pair->client_sock = std::move(client);
     pair->victim_sock = std::move(victim);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (stopping_) return;
-      ++stats_.connections_intercepted;
-      pairs_.push_back(pair);
-    }
+    // The relay threads start under the lock, so no reaper (another
+    // tap's acceptor) can see the pair before both are assigned.
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (stopping_) return;
+    ++stats_.connections_intercepted;
+    pairs_.push_back(pair);
     pair->c2v = std::thread([this, pair] { relay(pair, true); });
     pair->v2c = std::thread([this, pair] { relay(pair, false); });
+  }
+}
+
+void IntruderProxy::reap_pairs() {
+  std::vector<PairPtr> finished;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::erase_if(pairs_, [&](const PairPtr& pair) {
+      if (pair->relays_exited.load() < 2) return false;
+      finished.push_back(pair);
+      return true;
+    });
+  }
+  for (const PairPtr& pair : finished) {
+    pair->c2v.join();
+    pair->v2c.join();
   }
 }
 
@@ -602,6 +621,7 @@ void IntruderProxy::relay(const PairPtr& pair, bool to_victim) {
   }
   if (held) out.send_all(held->data(), held->size());  // best effort
   kill_pair(pair);
+  pair->relays_exited.fetch_add(1);
 }
 
 }  // namespace b2b::net

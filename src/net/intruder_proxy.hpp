@@ -108,6 +108,9 @@ struct IntruderStats {
   /// Frames arriving at the proxy itself with a hostile length prefix
   /// (the proxy enforces frame::decode_header like the runtimes do).
   std::uint64_t hostile_lengths_rejected = 0;
+  /// Intercepted connections still holding their two sockets: live ones
+  /// plus dead ones not yet reaped (the acceptor reaps at each accept).
+  std::uint64_t open_pairs = 0;
 };
 
 /// Seeded, coverage-guided action source. Thread-safe.
@@ -228,10 +231,15 @@ class IntruderProxy {
     /// guarded by name_mutex. [0] = client→victim, [1] = victim→client.
     std::uint64_t leg_incarnation[2] = {0, 0};
     std::atomic<bool> dead{false};
+    /// Relay threads that have finished (0..2); at 2 the pair is reaped.
+    std::atomic<int> relays_exited{0};
   };
   using PairPtr = std::shared_ptr<Pair>;
 
   void accept_loop(Tap& tap);
+  /// Join and drop every pair whose two relay threads have exited,
+  /// closing its sockets.
+  void reap_pairs();
   void relay(const PairPtr& pair, bool to_victim);
   void kill_pair(const PairPtr& pair);
   IntruderAction decide(const FrameInfo& info);

@@ -147,7 +147,8 @@ void ReactorTransport::send(const PartyId& to, Bytes payload) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     seq = next_seq_[to]++;
-    outgoing_[{to, seq}] = Outgoing{std::move(payload), 1};
+    outgoing_[{to, seq}] =
+        Outgoing{std::move(payload), 1, reactor_.now_micros()};
     ++stats_.app_sent;
     if (alive_) copies = sample_faults_locked();
   }
@@ -743,8 +744,10 @@ void ReactorTransport::flush_outgoing_to(const PartyId& peer,
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (!alive_) return;
+    const std::uint64_t now = reactor_.now_micros();
     for (auto it = outgoing_.lower_bound({peer, 0});
          it != outgoing_.end() && it->first.first == peer; ++it) {
+      it->second.last_write_micros = now;
       // Each wire write is a fresh fault sample (TcpFaults semantics):
       // a frame dropped here stays in outgoing_ for the retransmit tick.
       Bytes encoded = frame::encode_data(incarnation_, it->first.second,
@@ -774,8 +777,16 @@ void ReactorTransport::retransmit_tick() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     alive = alive_;
+    const std::uint64_t now = reactor_.now_micros();
     for (auto it = outgoing_.begin(); it != outgoing_.end();) {
       auto& [key, out] = *it;
+      // Written less than one interval ago (a send just before this
+      // tick, or a post-handshake flush): its ack may still be on the
+      // way, so it is not due yet.
+      if (now - out.last_write_micros < config_.retransmit_interval_micros) {
+        ++it;
+        continue;
+      }
       if (out.attempts >= config_.max_retransmits) {
         B2B_WARN("reactor: giving up on ", self_, " -> ", key.first,
                  " seq ", key.second);
@@ -785,6 +796,7 @@ void ReactorTransport::retransmit_tick() {
       }
       ++out.attempts;
       ++stats_.retransmissions;
+      out.last_write_micros = now;
       // Encoding happens per resolved connection below: the MAC key is
       // a property of the conn, not of the queued message.
       items.push_back({key.first, key.second, out.payload,

@@ -74,7 +74,8 @@ class ReactorTransport final : public Transport {
   struct Config {
     /// Retransmission cadence for un-acked messages; also how often
     /// missing connections are redialled. One wheel timer per
-    /// transport, not one thread per party.
+    /// transport, not one thread per party. A frame is re-sent only
+    /// once it has gone un-acked this long since its last write.
     std::uint64_t retransmit_interval_micros = 20'000;
     /// Give-up bound so a dead peer cannot pin quiescence forever.
     std::size_t max_retransmits = 10'000;
@@ -244,6 +245,9 @@ class ReactorTransport final : public Transport {
   struct Outgoing {
     Bytes payload;
     std::size_t attempts = 1;
+    /// Reactor clock at the last write (send, flush or retransmit); the
+    /// tick re-sends only frames un-acked for a whole interval since.
+    std::uint64_t last_write_micros = 0;
   };
   std::unordered_map<PartyId, std::uint64_t> next_seq_;
   std::map<std::pair<PartyId, std::uint64_t>, Outgoing> outgoing_;

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -230,6 +231,51 @@ void run_cross_incarnation_replay() {
 
 TEST(IntruderScriptedGames, CrossIncarnationReplayIsSuppressedReactor) {
   run_cross_incarnation_replay();
+}
+
+// --- proxy hygiene: reconnect churn ------------------------------------------
+
+/// Descriptors this process holds open.
+std::size_t open_fds() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       fs::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+/// Each intercepted connection holds two sockets and two relay threads.
+/// Once both relays exit the acceptor reaps the pair, so reconnect churn
+/// through one tap leaves the pair and descriptor counts flat instead of
+/// growing by two fds per reconnect until shutdown().
+TEST(IntruderProxyHygiene, ReconnectChurnKeepsPairsAndFdsBounded) {
+  ReactorStack stack;
+  net::IntruderProxy proxy{stack.directory, net::IntruderProxy::Config{}};
+  auto b = stack.make("b");
+  b->set_handler([](const PartyId&, const Bytes&) {});
+  proxy.interpose(PartyId{"b"});
+  const net::PeerAddress tap = *stack.directory->lookup(PartyId{"b"});
+
+  constexpr std::uint64_t kReconnects = 200;
+  constexpr std::uint64_t kMaxOpenPairs = 8;
+  const std::size_t fds_before = open_fds();
+  std::uint64_t max_open_pairs = 0;
+  for (std::uint64_t i = 1; i <= kReconnects; ++i) {
+    {
+      net::Socket client = net::tcp_connect(tap.host, tap.port, 1'000'000);
+      ASSERT_TRUE(client.valid());
+    }  // closed: the client leg sees EOF and the pair folds
+    ASSERT_TRUE(wait_for(
+        [&] { return proxy.stats().connections_intercepted == i; }));
+    max_open_pairs = std::max(max_open_pairs, proxy.stats().open_pairs);
+  }
+  EXPECT_LE(max_open_pairs, kMaxOpenPairs);
+  // The victim closes its accepted legs asynchronously; allow it a moment.
+  EXPECT_TRUE(wait_for([&] {
+    return open_fds() <= fds_before + 2 * kMaxOpenPairs + 8;
+  })) << open_fds() << " fds open, " << fds_before << " before the churn";
+  proxy.shutdown();
 }
 
 // --- scripted game 3: respond blackout resolved by the TTP -------------------

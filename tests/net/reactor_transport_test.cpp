@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -626,6 +627,65 @@ TEST(ReactorTransportTest, ReplayedAckFromWrongIncarnationCannotRetire) {
   ASSERT_TRUE(send_bytes(conn, make_frame(frame::encode_ack(b_inc, 0))));
   ASSERT_TRUE(wait_for([&] { return b->unacked() == 0; }));
   listener.stop();
+}
+
+TEST(ReactorTransportTest, FrameWrittenJustBeforeTickIsNotSentTwice) {
+  // A retransmit tick re-sends only frames un-acked for a whole interval
+  // since their last write. Sends spread over more than one interval put
+  // some frame a few ms before a tick; that frame must not go out again
+  // at that tick. A raw peer that never acks records every copy's arrival.
+  constexpr auto kInterval = 100ms;
+  Fixture fx;
+  fx.config.retransmit_interval_micros = 100'000;
+  auto b = fx.make("b");
+  b->set_handler([](const PartyId&, const Bytes&) {});
+
+  Listener listener = Listener::open("127.0.0.1", 0);
+  fx.directory->set(PartyId{"x"}, PeerAddress{"127.0.0.1", listener.port()});
+  b->send(PartyId{"x"}, Bytes{0});
+  Socket conn = listener.accept();
+  ASSERT_TRUE(conn.valid());
+  Bytes hello;
+  ASSERT_TRUE(recv_frame(conn, &hello));
+  ASSERT_TRUE(send_bytes(conn, make_frame(hello_payload("x", "b", 99))));
+
+  using Clock = std::chrono::steady_clock;
+  std::mutex arrivals_mutex;
+  std::map<std::uint64_t, std::vector<Clock::time_point>> arrivals;
+  std::thread reader([&] {
+    Bytes payload;
+    while (recv_frame(conn, &payload)) {
+      wire::Decoder dec{payload};
+      if (dec.u8() != frame::kData) continue;
+      dec.u64();  // incarnation
+      const std::uint64_t seq = dec.u64();
+      std::lock_guard<std::mutex> lock(arrivals_mutex);
+      arrivals[seq].push_back(Clock::now());
+    }
+  });
+
+  constexpr int kFrames = 30;  // one every 5 ms: 1.5 intervals of sends
+  for (int i = 1; i < kFrames; ++i) {
+    std::this_thread::sleep_for(5ms);
+    b->send(PartyId{"x"}, Bytes{static_cast<std::uint8_t>(i)});
+  }
+  std::this_thread::sleep_for(2 * kInterval + 50ms);
+  conn.shutdown_both();
+  reader.join();
+  listener.stop();
+
+  std::lock_guard<std::mutex> lock(arrivals_mutex);
+  ASSERT_EQ(arrivals.size(), static_cast<std::size_t>(kFrames));
+  for (const auto& [seq, times] : arrivals) {
+    for (std::size_t i = 1; i < times.size(); ++i) {
+      EXPECT_GE(times[i] - times[i - 1], kInterval / 2)
+          << "seq " << seq << " copy " << i << " followed copy " << i - 1
+          << " within half an interval";
+    }
+  }
+  // Un-acked frames are still retransmitted once they are overdue.
+  EXPECT_GE(arrivals[0].size(), 2u);
+  EXPECT_GT(b->stats().retransmissions, 0u);
 }
 
 // --- wire v3 must-fail games (DESIGN.md §11) --------------------------------
