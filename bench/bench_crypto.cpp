@@ -7,9 +7,11 @@
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <vector>
 
 #include "b2b/federation.hpp"
 #include "crypto/bigint.hpp"
+#include "crypto/bigint_kernels.hpp"
 #include "crypto/chacha20.hpp"
 #include "crypto/rsa.hpp"
 #include "crypto/sha256.hpp"
@@ -100,6 +102,52 @@ void BM_ModExp(benchmark::State& state) {
 }
 BENCHMARK(BM_ModExp)->Arg(512)->Arg(1024)->Arg(2048)->Unit(benchmark::kMicrosecond);
 
+// One Montgomery product on raw limbs, modulus of range(0) limbs with the
+// top bit set. BM_MontMul goes through the dispatching kernel (the
+// BMI2+ADX one at 8 limbs where the CPU has it), BM_MontMulPortableKernel
+// always runs the portable loops.
+struct MontOperands {
+  explicit MontOperands(std::size_t len) : n(len), a(len), b(len),
+                                           scratch(2 * len + 1) {
+    ChaCha20Rng rng(std::uint64_t{11});
+    rng.fill(reinterpret_cast<std::uint8_t*>(n.data()), 8 * len);
+    rng.fill(reinterpret_cast<std::uint8_t*>(a.data()), 8 * len);
+    rng.fill(reinterpret_cast<std::uint8_t*>(b.data()), 8 * len);
+    n[0] |= 1;
+    n[len - 1] |= std::uint64_t{1} << 63;
+    a[len - 1] >>= 1;  // a, b < n
+    b[len - 1] >>= 1;
+    std::uint64_t inv = n[0];  // Newton: n * inv == 1 mod 2^64
+    for (int i = 0; i < 6; ++i) inv *= 2 - n[0] * inv;
+    mod = {n.data(), 0 - inv, len};
+  }
+  std::vector<std::uint64_t> n, a, b, scratch;
+  crypto::bigint_kernels::Modulus mod{};
+};
+
+void BM_MontMul(benchmark::State& state) {
+  MontOperands ops(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    crypto::bigint_kernels::mul(ops.a.data(), ops.a.data(), ops.b.data(),
+                                ops.mod, ops.scratch.data());
+    benchmark::DoNotOptimize(ops.a.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_MontMul)->Arg(8)->Arg(16)->Unit(benchmark::kNanosecond);
+
+void BM_MontMulPortableKernel(benchmark::State& state) {
+  MontOperands ops(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    crypto::bigint_kernels::mul_portable(ops.a.data(), ops.a.data(),
+                                         ops.b.data(), ops.mod,
+                                         ops.scratch.data());
+    benchmark::DoNotOptimize(ops.a.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_MontMulPortableKernel)->Arg(8)->Arg(16)->Unit(benchmark::kNanosecond);
+
 void BM_RsaKeygen(benchmark::State& state) {
   std::size_t bits = static_cast<std::size_t>(state.range(0));
   std::uint64_t seed = 1;
@@ -111,14 +159,15 @@ void BM_RsaKeygen(benchmark::State& state) {
 BENCHMARK(BM_RsaKeygen)->Arg(512)->Unit(benchmark::kMillisecond);
 
 void BM_TimestampStamp(benchmark::State& state) {
-  crypto::TimestampService tss(core::Federation::shared_keypair(512, 1),
+  std::size_t bits = static_cast<std::size_t>(state.range(0));
+  crypto::TimestampService tss(core::Federation::shared_keypair(bits, 1),
                                [] { return std::uint64_t{42}; });
   Bytes evidence = bytes_of("an evidence record payload");
   for (auto _ : state) {
     benchmark::DoNotOptimize(tss.stamp(evidence));
   }
 }
-BENCHMARK(BM_TimestampStamp)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_TimestampStamp)->Arg(512)->Arg(1024)->Arg(2048)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "common/error.hpp"
+#include "crypto/bigint_kernels.hpp"
 
 namespace b2b::crypto {
 
@@ -400,23 +401,6 @@ u64 eq_mask(u64 a, u64 b) {
   return ((diff | (0 - diff)) >> 63) - 1;
 }
 
-/// out = t - n when t >= n, else t, for t < 2n held in len + 1 limbs. Both
-/// candidates are computed and one is kept by mask, so which one it was
-/// does not show in the branch pattern. `out` must not alias `t`.
-void reduce_once(u64* out, const u64* t, const u64* n, std::size_t len) {
-  u64 borrow = 0;
-  for (std::size_t i = 0; i < len; ++i) {
-    u128 diff = static_cast<u128>(t[i]) - n[i] - borrow;
-    out[i] = static_cast<u64>(diff);
-    borrow = static_cast<u64>(diff >> 64) & 1;
-  }
-  // t >= n iff the subtraction did not borrow past the top limb.
-  const u64 keep_diff = 0 - (t[len] | (borrow ^ 1));
-  for (std::size_t i = 0; i < len; ++i) {
-    out[i] = (out[i] & keep_diff) | (t[i] & ~keep_diff);
-  }
-}
-
 /// out = table[index] for a table of 16 values of len limbs. Every entry
 /// is read, so the memory access pattern does not depend on `index`.
 void select_entry(u64* out, const u64* table, std::size_t len, u64 index) {
@@ -454,94 +438,18 @@ MontgomeryContext::MontgomeryContext(const BigInt& modulus)
   r2_.resize(width(), 0);
 }
 
+bigint_kernels::Modulus MontgomeryContext::kernel_modulus() const {
+  return {modulus_.limbs_.data(), n0_inv_, width()};
+}
+
 void MontgomeryContext::mul_limbs(u64* out, const u64* a, const u64* b,
                                   u64* scratch) const {
-  // CIOS: interleave t += a_i * b with one limb of reduction per step.
-  const std::size_t len = width();
-  const u64* n = modulus_.limbs_.data();
-  u64* t = scratch;  // len + 2 limbs
-  std::fill(t, t + len + 1, 0);
-  for (std::size_t i = 0; i < len; ++i) {
-    const u64 a_i = a[i];
-    u64 carry = 0;
-    for (std::size_t j = 0; j < len; ++j) {
-      u128 cur = static_cast<u128>(a_i) * b[j] + t[j] + carry;
-      t[j] = static_cast<u64>(cur);
-      carry = static_cast<u64>(cur >> 64);
-    }
-    u128 top = static_cast<u128>(t[len]) + carry;
-    t[len] = static_cast<u64>(top);
-    t[len + 1] = static_cast<u64>(top >> 64);
-
-    // t = (t + m * n) / 2^64, with m chosen so the low limb cancels.
-    const u64 m = t[0] * n0_inv_;
-    u128 cur = static_cast<u128>(m) * n[0] + t[0];
-    carry = static_cast<u64>(cur >> 64);
-    for (std::size_t j = 1; j < len; ++j) {
-      cur = static_cast<u128>(m) * n[j] + t[j] + carry;
-      t[j - 1] = static_cast<u64>(cur);
-      carry = static_cast<u64>(cur >> 64);
-    }
-    top = static_cast<u128>(t[len]) + carry;
-    t[len - 1] = static_cast<u64>(top);
-    t[len] = t[len + 1] + static_cast<u64>(top >> 64);
-  }
-  reduce_once(out, t, n, len);
+  bigint_kernels::mul(out, a, b, kernel_modulus(), scratch);
 }
 
 void MontgomeryContext::sqr_limbs(u64* out, const u64* a,
                                   u64* scratch) const {
-  // Full square with each cross product computed once and doubled, then
-  // one reduction of the 2 * len limb result.
-  const std::size_t len = width();
-  u64* p = scratch;
-  std::fill(p, p + 2 * len, 0);
-  for (std::size_t i = 0; i < len; ++i) {
-    u64 carry = 0;
-    for (std::size_t j = i + 1; j < len; ++j) {
-      u128 cur = static_cast<u128>(a[i]) * a[j] + p[i + j] + carry;
-      p[i + j] = static_cast<u64>(cur);
-      carry = static_cast<u64>(cur >> 64);
-    }
-    p[i + len] = carry;
-  }
-  u64 shifted_out = 0;
-  for (std::size_t k = 0; k < 2 * len; ++k) {
-    u64 limb = p[k];
-    p[k] = (limb << 1) | shifted_out;
-    shifted_out = limb >> 63;
-  }
-  u64 carry = 0;
-  for (std::size_t i = 0; i < len; ++i) {
-    u128 cur = static_cast<u128>(a[i]) * a[i] + p[2 * i] + carry;
-    p[2 * i] = static_cast<u64>(cur);
-    cur = static_cast<u128>(p[2 * i + 1]) + static_cast<u64>(cur >> 64);
-    p[2 * i + 1] = static_cast<u64>(cur);
-    carry = static_cast<u64>(cur >> 64);
-  }
-  redc_limbs(out, p);
-}
-
-void MontgomeryContext::redc_limbs(u64* out, u64* p) const {
-  // Clear one low limb per step; `pending` is the carry owed to the limb
-  // above the one the step finishes.
-  const std::size_t len = width();
-  const u64* n = modulus_.limbs_.data();
-  u64 pending = 0;
-  for (std::size_t i = 0; i < len; ++i) {
-    const u64 m = p[i] * n0_inv_;
-    u64 carry = 0;
-    for (std::size_t j = 0; j < len; ++j) {
-      u128 cur = static_cast<u128>(m) * n[j] + p[i + j] + carry;
-      p[i + j] = static_cast<u64>(cur);
-      carry = static_cast<u64>(cur >> 64);
-    }
-    u128 cur = static_cast<u128>(p[i + len]) + carry + pending;
-    p[i + len] = static_cast<u64>(cur);
-    pending = static_cast<u64>(cur >> 64);
-  }
-  p[2 * len] = pending;
-  reduce_once(out, p + len, n, len);
+  bigint_kernels::sqr(out, a, kernel_modulus(), scratch);
 }
 
 void MontgomeryContext::load(u64* out, const BigInt& value) const {
@@ -558,7 +466,7 @@ BigInt MontgomeryContext::from_mont_limbs(const u64* value,
   std::fill(scratch + len, scratch + 2 * len, 0);
   BigInt out;
   out.limbs_.resize(len);
-  redc_limbs(out.limbs_.data(), scratch);
+  bigint_kernels::redc_portable(out.limbs_.data(), scratch, kernel_modulus());
   out.normalize();
   return out;
 }

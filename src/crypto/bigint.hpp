@@ -19,6 +19,10 @@
 
 namespace b2b::crypto {
 
+namespace bigint_kernels {
+struct Modulus;
+}  // namespace bigint_kernels
+
 class BigInt {
  public:
   /// Zero.
@@ -136,15 +140,14 @@ class MontgomeryContext {
  private:
   std::size_t width() const { return modulus_.limb_count(); }
 
-  // Limb kernels over caller-owned buffers of width() limbs. `out` may
-  // alias an input; `scratch` holds 2 * width() + 1 limbs.
+  // Limb kernels over caller-owned buffers of width() limbs, through the
+  // kernel dispatch of bigint_kernels.hpp. `out` may alias an input;
+  // `scratch` holds 2 * width() + 1 limbs.
+  bigint_kernels::Modulus kernel_modulus() const;
   void mul_limbs(std::uint64_t* out, const std::uint64_t* a,
                  const std::uint64_t* b, std::uint64_t* scratch) const;
   void sqr_limbs(std::uint64_t* out, const std::uint64_t* a,
                  std::uint64_t* scratch) const;
-  /// out = product * R^{-1} mod modulus, for a product < modulus * R held
-  /// in the first 2 * width() limbs of `product` (which it overwrites).
-  void redc_limbs(std::uint64_t* out, std::uint64_t* product) const;
   /// Copies the low width() limbs of `value` into `out`.
   void load(std::uint64_t* out, const BigInt& value) const;
   BigInt from_mont_limbs(const std::uint64_t* value,

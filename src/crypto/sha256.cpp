@@ -4,10 +4,10 @@
 #include <cstring>
 
 #include "common/error.hpp"
+#include "crypto/cpu_features.hpp"
 #include "crypto/sha256_kernels.hpp"
 
 #if defined(__x86_64__)
-#include <cpuid.h>
 #include <immintrin.h>
 #endif
 
@@ -105,19 +105,6 @@ void compress_portable(std::uint32_t* state, const std::uint8_t* data,
 
 namespace {
 
-// CPUID leaf 1 ECX and leaf 7 (subleaf 0) EBX feature bits.
-constexpr unsigned kCpuidSsse3 = 1u << 9;
-constexpr unsigned kCpuidSse41 = 1u << 19;
-constexpr unsigned kCpuidSha = 1u << 29;
-
-bool cpu_has_shani() {
-  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
-  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
-  if ((ecx & kCpuidSsse3) == 0 || (ecx & kCpuidSse41) == 0) return false;
-  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
-  return (ebx & kCpuidSha) != 0;
-}
-
 // The same rounds on the SHA extensions. The state lives in two vectors,
 // ABEF and CDGH, the layout sha256rnds2 wants; each rnds2 runs two rounds,
 // and sha256msg1/msg2 extend the message schedule four words at a time.
@@ -181,8 +168,7 @@ __attribute__((target("sha,ssse3,sse4.1"))) void compress_shani(
 }  // namespace
 
 CompressFn shani_kernel() {
-  static const bool supported = cpu_has_shani();
-  return supported ? compress_shani : nullptr;
+  return cpu::features().sha_ni ? compress_shani : nullptr;
 }
 
 #else

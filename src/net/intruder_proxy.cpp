@@ -554,9 +554,13 @@ void IntruderProxy::relay(const PairPtr& pair, bool to_victim) {
   std::optional<Bytes> held;  // kReorder slot
   std::uint8_t chunk[64 * 1024];
   bool alive = true;
+  bool clean_eof = false;
   while (alive) {
     const long n = in.recv_some(chunk, sizeof chunk);
-    if (n <= 0) break;
+    if (n <= 0) {
+      clean_eof = n == 0;
+      break;
+    }
     rbuf.insert(rbuf.end(), chunk, chunk + n);
     for (;;) {
       if (rbuf.size() - head < frame::kHeaderLen) break;
@@ -620,7 +624,14 @@ void IntruderProxy::relay(const PairPtr& pair, bool to_victim) {
     }
   }
   if (held) out.send_all(held->data(), held->size());  // best effort
-  kill_pair(pair);
+  if (clean_eof && !pair->dead) {
+    // An orderly EOF ends this direction only: pass the FIN on and let
+    // the other relay drain what is still in flight the other way (acks)
+    // until that side closes too.
+    out.shutdown_write();
+  } else {
+    kill_pair(pair);  // read error, hostile length or scripted kill
+  }
   pair->relays_exited.fetch_add(1);
 }
 

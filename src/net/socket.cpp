@@ -61,6 +61,10 @@ void Socket::shutdown_both() {
   if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
+void Socket::shutdown_write() {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_WR);
+}
+
 bool Socket::send_all(const void* data, std::size_t len) {
   const char* p = static_cast<const char*>(data);
   while (len > 0) {

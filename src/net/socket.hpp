@@ -38,6 +38,10 @@ class Socket {
   /// unlike close(), the descriptor stays valid until close().
   void shutdown_both();
 
+  /// shutdown(SHUT_WR): send FIN after whatever is queued; this side can
+  /// still read what the peer sends until it closes its own end.
+  void shutdown_write();
+
   /// Write all of `data`, absorbing EINTR and partial writes. Returns
   /// false on any error (including a peer reset). Never raises SIGPIPE.
   bool send_all(const void* data, std::size_t len);

@@ -148,7 +148,8 @@ void ThreadedTransport::send(const PartyId& to, Bytes payload) {
     std::lock_guard<std::mutex> lock(mutex_);
     seq = next_seq_[to]++;
     frame = encode_frame(kData, seq, payload);
-    outgoing_[{to, seq}] = Outgoing{std::move(payload), 1};
+    outgoing_[{to, seq}] =
+        Outgoing{std::move(payload), 1, std::chrono::steady_clock::now()};
     ++stats_.app_sent;
     stats_.bytes_sent += frame.size();
   }
@@ -283,8 +284,17 @@ void ThreadedTransport::retransmit_loop() {
     DeliveryFailureHandler failure_handler;
     {
       std::lock_guard<std::mutex> lock(mutex_);
+      const auto now = std::chrono::steady_clock::now();
+      const auto interval =
+          std::chrono::microseconds(config_.retransmit_interval_micros);
       for (auto it = outgoing_.begin(); it != outgoing_.end();) {
         auto& [key, out] = *it;
+        // Written less than one interval ago (a send just before this
+        // tick): its ack may still be on the way, so it is not due yet.
+        if (now - out.last_write < interval) {
+          ++it;
+          continue;
+        }
         if (out.attempts >= config_.max_retransmits) {
           B2B_WARN("threaded: giving up on ", self_, " -> ", key.first,
                    " seq ", key.second);
@@ -294,6 +304,7 @@ void ThreadedTransport::retransmit_loop() {
         }
         ++out.attempts;
         ++stats_.retransmissions;
+        out.last_write = now;
         frames.emplace_back(key.first,
                             encode_frame(kData, key.second, out.payload));
         stats_.bytes_sent += frames.back().second.size();

@@ -146,6 +146,8 @@ class ThreadedTransport final : public Transport {
   struct Outgoing {
     Bytes payload;
     std::size_t attempts = 1;
+    /// When the frame last went to the network (send or re-send).
+    std::chrono::steady_clock::time_point last_write;
   };
   std::unordered_map<PartyId, std::uint64_t> next_seq_;
   std::map<std::pair<PartyId, std::uint64_t>, Outgoing> outgoing_;

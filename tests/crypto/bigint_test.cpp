@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "crypto/bigint_kernels.hpp"
 #include "crypto/chacha20.hpp"
 #include "tests/support/reference_mod_exp.hpp"
 
@@ -333,6 +334,199 @@ TEST_P(BigIntDifferentialTest, MulAndSqrMatchReference) {
         EXPECT_EQ(ctx.mul(a, b), ref.mul(a, b))
             << "m=" << m.to_hex() << " a=" << a.to_hex()
             << " b=" << b.to_hex();
+      }
+    }
+  }
+}
+
+// --- Kernel legs: the limb kernels of bigint_kernels.hpp on raw buffers,
+// --- the BMI2+ADX kernel against the portable one and both against the
+// --- reference, plus pow through the dispatching kernels. The ADX legs
+// --- skip on CPUs without BMI2/ADX and at widths it does not cover.
+
+using bigint_kernels::MulFn;
+
+/// The ADX kernel, or a skip with the reason.
+#define REQUIRE_ADX_KERNEL(kernel)                                        \
+  const MulFn kernel = bigint_kernels::adx_mul8_kernel();                \
+  if ((kernel) == nullptr) {                                             \
+    GTEST_SKIP() << "CPU lacks BMI2 or ADX (CPUID 7.EBX[8,19]): no ADX " \
+                    "kernel to compare";                                 \
+  }                                                                      \
+  if (GetParam() != 8) {                                                 \
+    GTEST_SKIP() << "the ADX kernel covers 8-limb moduli only";          \
+  }
+
+using Limbs = std::vector<std::uint64_t>;
+
+Limbs limbs_of(const BigInt& value, std::size_t len) {
+  Limbs out(len);
+  for (std::size_t i = 0; i < len; ++i) out[i] = value.limb(i);
+  return out;
+}
+
+BigInt from_limbs(const Limbs& limbs) {
+  BigInt out;
+  for (std::size_t i = limbs.size(); i-- > 0;) {
+    out = (out << 64) + BigInt(limbs[i]);
+  }
+  return out;
+}
+
+/// A modulus as the kernels take it, owning its limbs.
+struct KernelModulus {
+  explicit KernelModulus(const BigInt& m)
+      : limbs(limbs_of(m, m.limb_count())) {
+    std::uint64_t inv = limbs[0];  // Newton: limbs[0] * inv == 1 mod 2^64
+    for (int i = 0; i < 6; ++i) inv *= 2 - limbs[0] * inv;
+    mod = {limbs.data(), 0 - inv, limbs.size()};
+  }
+  KernelModulus(const KernelModulus&) = delete;
+  KernelModulus& operator=(const KernelModulus&) = delete;
+
+  /// The product under `kernel`, written over a copy of `a` (so `out`
+  /// aliases an input, as it does inside pow).
+  BigInt mul(MulFn kernel, const BigInt& a, const BigInt& b) const {
+    Limbs out = limbs_of(a, mod.len);
+    const Limbs b_limbs = limbs_of(b, mod.len);
+    Limbs scratch(2 * mod.len + 1);
+    kernel(out.data(), out.data(), b_limbs.data(), mod, scratch.data());
+    return from_limbs(out);
+  }
+  BigInt sqr(void (*kernel)(std::uint64_t*, const std::uint64_t*,
+                            const bigint_kernels::Modulus&, std::uint64_t*),
+             const BigInt& a) const {
+    Limbs out = limbs_of(a, mod.len);
+    Limbs scratch(2 * mod.len + 1);
+    kernel(out.data(), out.data(), mod, scratch.data());
+    return from_limbs(out);
+  }
+
+  Limbs limbs;
+  bigint_kernels::Modulus mod{};
+};
+
+/// The battery's moduli plus the all-ones modulus 2^(64 * limbs) - 1: with
+/// every limb near all-ones, mid-step accumulators carry into the tenth
+/// limb of the 8-limb kernel.
+std::vector<BigInt> kernel_moduli(ChaCha20Rng& rng, std::size_t limbs,
+                                  std::vector<BigInt> moduli) {
+  moduli.push_back(all_ones(64 * limbs));
+  moduli.push_back(all_ones(64 * limbs) -
+                   (BigInt(rng.next_below(1u << 20)) << 1));
+  return moduli;
+}
+
+/// Operands below `m`: 0, 1, 2, m - 1, m - 2, values just under m, R mod m
+/// (Montgomery one), all-ones low limbs, and random ones.
+std::vector<BigInt> kernel_operands(ChaCha20Rng& rng, const BigInt& m) {
+  const std::size_t limbs = m.limb_count();
+  const BigInt top = m - BigInt(1);
+  std::vector<BigInt> out = {BigInt(), BigInt(1), BigInt(2) % m, top,
+                             top - BigInt(1) % m,
+                             top - BigInt(rng.next_below(1u << 16)) % m,
+                             top - BigInt(rng.next_u64()) % m,
+                             (BigInt(1) << (64 * limbs)) % m,
+                             all_ones(64 * limbs - 1) % m,
+                             all_ones(64 * (limbs - 1)) % m};
+  for (int i = 0; i < 6; ++i) out.push_back(random_bits(rng, 64 * limbs) % m);
+  return out;
+}
+
+TEST_P(BigIntDifferentialTest, AdxKernelMatchesPortableAndReferenceOnEdges) {
+  REQUIRE_ADX_KERNEL(adx);
+  ChaCha20Rng rng(bigint_seed() * 1000 + 600 + GetParam());
+  for (const BigInt& m : kernel_moduli(rng, GetParam(), moduli(rng))) {
+    const KernelModulus km(m);
+    test::ReferenceMontgomery ref(m);
+    const std::vector<BigInt> values = kernel_operands(rng, m);
+    for (const BigInt& a : values) {
+      const BigInt square = ref.mul(a, a);
+      EXPECT_EQ(km.mul(adx, a, a), square)
+          << "m=" << m.to_hex() << " a=" << a.to_hex();
+      EXPECT_EQ(km.sqr(bigint_kernels::sqr_portable, a), square)
+          << "m=" << m.to_hex() << " a=" << a.to_hex();
+      for (const BigInt& b : values) {
+        const BigInt want = ref.mul(a, b);
+        EXPECT_EQ(km.mul(adx, a, b), want)
+            << "m=" << m.to_hex() << " a=" << a.to_hex()
+            << " b=" << b.to_hex();
+        EXPECT_EQ(km.mul(bigint_kernels::mul_portable, a, b), want)
+            << "m=" << m.to_hex() << " a=" << a.to_hex()
+            << " b=" << b.to_hex();
+      }
+    }
+  }
+}
+
+TEST_P(BigIntDifferentialTest, AdxKernelMatchesPortableOnRandomOperands) {
+  // Many random pairs, half of them with limbs biased towards all-ones,
+  // where the carry chains run longest.
+  REQUIRE_ADX_KERNEL(adx);
+  ChaCha20Rng rng(bigint_seed() * 1000 + 700 + GetParam());
+  for (const BigInt& m : kernel_moduli(rng, GetParam(), moduli(rng))) {
+    const KernelModulus km(m);
+    const std::size_t len = km.mod.len;
+    Limbs a(len), b(len), want(len), got(len), scratch(2 * len + 1);
+    for (int trial = 0; trial < 4000; ++trial) {
+      for (Limbs* operand : {&a, &b}) {
+        BigInt v = random_bits(rng, 64 * len);
+        if (trial % 2 == 1) v = m - BigInt(1) - (v >> (64 * len / 2));
+        *operand = limbs_of(v % m, len);
+      }
+      bigint_kernels::mul_portable(want.data(), a.data(), b.data(), km.mod,
+                                   scratch.data());
+      adx(got.data(), a.data(), b.data(), km.mod, scratch.data());
+      ASSERT_EQ(got, want) << "m=" << m.to_hex() << " a="
+                           << from_limbs(a).to_hex()
+                           << " b=" << from_limbs(b).to_hex();
+      adx(got.data(), a.data(), a.data(), km.mod, scratch.data());
+      bigint_kernels::sqr_portable(want.data(), a.data(), km.mod,
+                                   scratch.data());
+      ASSERT_EQ(got, want) << "m=" << m.to_hex() << " a="
+                           << from_limbs(a).to_hex();
+    }
+  }
+}
+
+TEST_P(BigIntDifferentialTest, DispatchedKernelsMatchPortableAndReference) {
+  ChaCha20Rng rng(bigint_seed() * 1000 + 800 + GetParam());
+  for (const BigInt& m : kernel_moduli(rng, GetParam(), moduli(rng))) {
+    const KernelModulus km(m);
+    test::ReferenceMontgomery ref(m);
+    const std::vector<BigInt> values = kernel_operands(rng, m);
+    for (const BigInt& a : values) {
+      EXPECT_EQ(km.sqr(bigint_kernels::sqr, a), ref.mul(a, a))
+          << "m=" << m.to_hex() << " a=" << a.to_hex();
+      EXPECT_EQ(km.sqr(bigint_kernels::sqr, a),
+                km.sqr(bigint_kernels::sqr_portable, a))
+          << "m=" << m.to_hex() << " a=" << a.to_hex();
+      for (const BigInt& b : values) {
+        EXPECT_EQ(km.mul(bigint_kernels::mul, a, b), ref.mul(a, b))
+            << "m=" << m.to_hex() << " a=" << a.to_hex()
+            << " b=" << b.to_hex();
+      }
+    }
+  }
+}
+
+TEST_P(BigIntDifferentialTest, PowThroughKernelDispatchMatchesReference) {
+  // MontgomeryContext::pow squares and multiplies through the dispatching
+  // kernels; the all-ones and small-top moduli are the carry edge cases.
+  ChaCha20Rng rng(bigint_seed() * 1000 + 900 + GetParam());
+  for (const BigInt& m : kernel_moduli(rng, GetParam(), moduli(rng))) {
+    const std::size_t bits = m.bit_length();
+    const MontgomeryContext ctx(m);
+    const std::size_t long_bits = std::min<std::size_t>(bits, 512);
+    for (const BigInt& base : {m - BigInt(1), m - BigInt(2),
+                               random_bits(rng, bits) % m}) {
+      for (const BigInt& exponent :
+           {BigInt(65537), all_ones(64), all_ones(long_bits),
+            random_bits(rng, long_bits)}) {
+        EXPECT_EQ(ctx.pow(base, exponent),
+                  test::reference_mod_exp(base, exponent, m))
+            << "m=" << m.to_hex() << " base=" << base.to_hex()
+            << " exp=" << exponent.to_hex();
       }
     }
   }

@@ -278,6 +278,67 @@ TEST(IntruderProxyHygiene, ReconnectChurnKeepsPairsAndFdsBounded) {
   proxy.shutdown();
 }
 
+/// One [len][crc32] framed payload off a blocking socket.
+bool recv_framed(net::Socket& socket, Bytes* payload) {
+  std::uint8_t header[net::frame::kHeaderLen];
+  if (!socket.recv_exact(header, sizeof header)) return false;
+  net::frame::Header hdr;
+  if (!net::frame::decode_header(header, net::frame::kMaxFrameLen, &hdr)) {
+    return false;
+  }
+  payload->resize(hdr.len);
+  return hdr.len == 0 || socket.recv_exact(payload->data(), hdr.len);
+}
+
+/// A client that sends its last frame and closes its write side at once
+/// must still get the ack the victim sends back after reading that
+/// frame: an orderly EOF ends one direction of the intercepted
+/// connection, not both.
+TEST(IntruderProxyHygiene, AckInFlightWhenClientSendsEofStillArrives) {
+  auto directory = std::make_shared<net::PeerDirectory>();
+  net::Listener victim_listener = net::Listener::open("127.0.0.1", 0);
+  directory->set(PartyId{"v"},
+                 net::PeerAddress{"127.0.0.1", victim_listener.port()});
+  net::IntruderProxy::Config pconfig;
+  pconfig.script = [](const net::FrameInfo&)
+      -> std::optional<net::IntruderAction> {
+    return net::IntruderAction::kForward;
+  };
+  net::IntruderProxy proxy{directory, pconfig};
+  proxy.interpose(PartyId{"v"});
+  const net::PeerAddress tap = *directory->lookup(PartyId{"v"});
+
+  const Bytes data = net::frame::encode_data(1, 0, bytes_of("last"));
+  const Bytes ack = net::frame::encode_ack(1, 0);
+  std::thread victim([&] {
+    net::Socket conn = victim_listener.accept();
+    ASSERT_TRUE(conn.valid());
+    conn.set_recv_timeout(5'000'000);
+    Bytes got;
+    ASSERT_TRUE(recv_framed(conn, &got));
+    EXPECT_EQ(got, data);
+    // The client's EOF is already behind the frame; ack anyway, as a
+    // transport does for every data frame it reads.
+    const Bytes framed_ack = net::frame::frame_payload(ack);
+    EXPECT_TRUE(conn.send_all(framed_ack.data(), framed_ack.size()));
+    std::uint8_t byte;
+    EXPECT_EQ(conn.recv_some(&byte, 1), 0) << "expected the client's EOF";
+  });
+
+  net::Socket client = net::tcp_connect(tap.host, tap.port, 1'000'000);
+  ASSERT_TRUE(client.valid());
+  client.set_recv_timeout(5'000'000);
+  const Bytes framed_data = net::frame::frame_payload(data);
+  ASSERT_TRUE(client.send_all(framed_data.data(), framed_data.size()));
+  client.shutdown_write();
+  Bytes got;
+  EXPECT_TRUE(recv_framed(client, &got)) << "the ack was dropped";
+  EXPECT_EQ(got, ack);
+  victim.join();
+  proxy.shutdown();
+  victim_listener.stop();
+}
+
 // --- scripted game 3: respond blackout resolved by the TTP -------------------
 
 /// The intruder silently drops every kRespond toward the proposer — the

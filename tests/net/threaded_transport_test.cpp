@@ -209,5 +209,30 @@ TEST(ThreadedTransportTest, ExecutorSettlesOnQuiescence) {
   EXPECT_EQ(sink.count(), 20u);
 }
 
+TEST(ThreadedTransportTest, FrameWrittenJustBeforeTickIsNotSentTwice) {
+  // A retransmit tick re-sends only frames un-acked for a whole interval
+  // since their last write. Frame 0 goes to a crashed peer; the tick that
+  // re-sends it fixes the tick phase. Frame 1 is written shortly before
+  // the next tick, which must re-send frame 0 again but not frame 1.
+  constexpr auto kInterval = 200ms;
+  ThreadedNetwork network(7);
+  network.set_alive(PartyId{"x"}, false);
+  ThreadedTransport::Config config;
+  config.retransmit_interval_micros = 200'000;
+  ThreadedTransport a(network, PartyId{"a"}, config);
+  const auto retransmissions = [&] { return a.stats().retransmissions; };
+
+  a.send(PartyId{"x"}, Bytes{0});
+  ASSERT_TRUE(wait_for([&] { return retransmissions() == 1; }));
+  std::this_thread::sleep_for(kInterval - 40ms);
+  a.send(PartyId{"x"}, Bytes{1});
+  ASSERT_TRUE(wait_for([&] { return retransmissions() >= 2; }));
+  std::this_thread::sleep_for(kInterval / 4);  // well before the next tick
+  EXPECT_EQ(retransmissions(), 2u)
+      << "frame 1 was re-sent at the first tick after its send, about "
+         "40 ms after it was written";
+  EXPECT_EQ(a.unacked(), 2u);
+}
+
 }  // namespace
 }  // namespace b2b::net
